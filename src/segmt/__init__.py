@@ -20,6 +20,7 @@ from .align import (
     project_boundaries,
     project_positions,
     wer,
+    wer_counts,
 )
 from .augment import (
     AugmentationConfig,
@@ -134,6 +135,7 @@ __all__ = [
     "split_on_pauses",
     "tokenize",
     "wer",
+    "wer_counts",
     "write_bitext",
     "write_documents",
     "write_transcripts",

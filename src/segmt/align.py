@@ -1,19 +1,20 @@
 """Token-level Levenshtein alignment, WER, and boundary projection.
 
-Alignment is computed over a full dynamic-programming cost table with unit
-costs (match 0; substitute/delete/insert 1).  The backtrace resolves cost
+Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
+exact.  The cost table is never materialized: a bit-parallel forward pass
+(Myers 1999) keeps each row's cost differences as bit vectors, and the
+backtrace reads its options from those bits (Hyyro 2004), resolving cost
 ties with a fixed total order so identical inputs always produce identical
-edit scripts.  Boundary projection transfers segment boundaries from one
-transcript onto another transcript's tokens by following the alignment of
-the token immediately before each boundary.
+edit scripts.  Distance alone keeps only the current row.  Boundary
+projection transfers segment boundaries from one transcript onto another
+transcript's tokens by following the alignment of the token immediately
+before each boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from .text import (
     NormalizationPolicy,
@@ -37,11 +38,6 @@ DEFAULT_TIE_BREAK = (MATCH, SUBSTITUTE, DELETE, INSERT)
 #: Default comparison policy: case- and punctuation-insensitive matching, so
 #: transcripts that differ only in casing or punctuation conventions align.
 ALIGNMENT_NORMALIZATION = NormalizationPolicy(strip_punctuation=True, lowercase=True)
-
-# Sentinel cost for cells outside the diagonal band; large enough never to be
-# chosen, small enough that +1 arithmetic cannot overflow int32.
-_BANNED = np.int32(1) << 28
-
 
 @dataclass(frozen=True)
 class EditOp:
@@ -83,84 +79,63 @@ class AlignmentConfig:
 
     ``normalize_for_alignment`` affects only how tokens are compared; any
     projection built on the alignment still emits original target tokens.
-    ``band_width`` optionally restricts the DP to a diagonal corridor: cells
-    farther than ``band_width`` from the length-scaled diagonal are treated
-    as unreachable.  This bounds how far an edit path may wander on very
-    long documents; the default (None) searches the full table.
     """
 
     normalize_for_alignment: NormalizationPolicy = ALIGNMENT_NORMALIZATION
     tie_break: tuple = DEFAULT_TIE_BREAK
-    band_width: Optional[int] = None
 
     def __post_init__(self):
         if sorted(self.tie_break) != sorted(DEFAULT_TIE_BREAK):
             raise ValueError(f"tie_break must order all four op kinds, got {self.tie_break}")
-        if self.band_width is not None and self.band_width < 1:
-            raise ValueError("band_width must be >= 1")
 
 
 DEFAULT_CONFIG = AlignmentConfig()
 
+#: Compares tokens exactly as given (WER normalizes both sides beforehand).
+_PLAIN = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
 
-def _token_ids(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
-    """Map both sequences to integer ids of their comparison keys.
+
+def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
+    """Both sequences as the comparison keys of their tokens, one per token.
 
     Every token keeps its position: a token whose key normalizes to the
     empty string still occupies a slot (and matches other empty-key tokens),
-    which is what keeps projection anchored to original positions.
+    which is what keeps projection anchored to original positions.  Each
+    distinct token is normalized once.
     """
-    interned: dict = {}
-
-    def ids_of(tokens: Sequence[str]) -> np.ndarray:
-        out = np.empty(len(tokens), dtype=np.int32)
-        for i, tok in enumerate(tokens):
-            key = normalize_token(tok, policy)
-            out[i] = interned.setdefault(key, len(interned))
-        return out
-
-    return ids_of(a), ids_of(b)
+    key_of = {tok: normalize_token(tok, policy) for tok in {*a, *b}}
+    return [key_of[tok] for tok in a], [key_of[tok] for tok in b]
 
 
-def _band_bounds(n: int, m: int, width: Optional[int]):
-    """Per-row inclusive [lo, hi] column bounds of the diagonal corridor."""
-    if width is None or n == 0 or m == 0:
-        return None
-    # The corridor must at least cover the |n - m| offset between the two
-    # sequence lengths, or the corner cell becomes unreachable.
-    width = max(width, abs(n - m) + 1)
-    slope = m / n
-    los = np.maximum(0, (np.arange(n + 1) * slope - width).astype(np.int64))
-    his = np.minimum(m, (np.arange(n + 1) * slope + width).astype(np.int64))
-    return los, his
+def _rows(a_keys: Sequence[str], b_keys: Sequence[str]):
+    """Yield one row of the Levenshtein table D per token of ``a``, as bit vectors.
 
+    Myers' bit-parallel recurrence (JACM 46(3), 1999) in its global form:
+    Python ints serve as m-bit vectors over the columns of ``b``, and
+    ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison key k.  For
+    row i the generator yields ``(d0, hp, hn, vp)``:
 
-def _cost_table(a_ids: np.ndarray, b_ids: np.ndarray, band_width: Optional[int]) -> np.ndarray:
-    """Full (n+1) x (m+1) Levenshtein cost table.
+    * ``d0`` bit j-1: D[i][j] == D[i-1][j-1] (diagonal step costs nothing);
+    * ``hp`` / ``hn`` bit j: D[i][j] - D[i-1][j] is +1 / -1; bit 0 is the
+      left border, where the difference is always +1;
+    * ``vp`` bit j-1: D[i][j] - D[i][j-1] is +1.
 
-    Rows are computed vectorized: the substitute/delete candidates come
-    straight from the previous row, and the left-to-right insert recurrence
-    row[j] = min(cand[j], row[j-1] + 1) is evaluated in closed form as a
-    running minimum of (cand[k] - k) plus j.
+    Each row costs a fixed number of big-int operations on m-bit values.
     """
-    n, m = len(a_ids), len(b_ids)
-    table = np.empty((n + 1, m + 1), dtype=np.int32)
-    cols = np.arange(m + 1, dtype=np.int32)
-    table[0] = cols
-    bounds = _band_bounds(n, m, band_width)
-    scratch = np.empty(m + 1, dtype=np.int32)
-    for i in range(1, n + 1):
-        prev = table[i - 1]
-        np.add(prev[:-1], b_ids != a_ids[i - 1], out=scratch[1:])
-        np.minimum(scratch[1:], prev[1:] + 1, out=scratch[1:])
-        scratch[0] = i
-        row = np.minimum.accumulate(scratch - cols) + cols
-        if bounds is not None:
-            lo, hi = bounds[0][i], bounds[1][i]
-            row[:lo] = _BANNED
-            row[hi + 1 :] = _BANNED
-        table[i] = row
-    return table
+    m = len(b_keys)
+    mask = (1 << m) - 1
+    peq: dict = {}
+    for j, t in enumerate(b_keys):
+        peq[t] = peq.get(t, 0) | 1 << j
+    vp, vn = mask, 0  # row 0: D[0][j] = j
+    for t in a_keys:
+        x = peq.get(t, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hp = (vn | mask ^ (d0 | vp)) << 1 | 1
+        hn = (vp & d0) << 1
+        vp = (hn | (d0 | hp) ^ mask) & mask
+        vn = hp & d0
+        yield d0, hp, hn, vp
 
 
 def levenshtein_align(
@@ -169,22 +144,24 @@ def levenshtein_align(
     """Minimum-unit-cost edit script from token sequence ``a`` to ``b``.
 
     Deterministic: DP cost ties are broken by ``cfg.tie_break``, so repeated
-    calls yield identical scripts.
+    calls yield identical scripts.  The forward pass keeps three m-bit
+    vectors per row of ``a`` (see ``_rows``), from which the backtrace reads
+    every step's options in O(1) without materializing the cost table.
     """
-    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
-    table = _cost_table(a_ids, b_ids, cfg.band_width)
+    a_keys, b_keys = _comparison_keys(a, b, cfg.normalize_for_alignment)
+    # Row 0 (before any token of a): only inserts, every D[0][j] - D[0][j-1] = +1.
+    diag, down, left = [0], [0], [(1 << len(b_keys)) - 1]
+    for d0, hp, _, vp in _rows(a_keys, b_keys):
+        diag.append(d0)
+        down.append(hp)
+        left.append(vp)
     ops: List[EditOp] = []
-    i, j = len(a_ids), len(b_ids)
+    i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
-        cost = table[i, j]
         for kind in cfg.tie_break:
             if kind == MATCH:
-                if (
-                    i > 0
-                    and j > 0
-                    and a_ids[i - 1] == b_ids[j - 1]
-                    and cost == table[i - 1, j - 1]
-                ):
+                # Equal tokens always give D[i][j] == D[i-1][j-1]: no cost check needed.
+                if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
                     ops.append(EditOp(MATCH, i - 1, j - 1))
                     i, j = i - 1, j - 1
                     break
@@ -192,48 +169,62 @@ def levenshtein_align(
                 if (
                     i > 0
                     and j > 0
-                    and a_ids[i - 1] != b_ids[j - 1]
-                    and cost == table[i - 1, j - 1] + 1
+                    and a_keys[i - 1] != b_keys[j - 1]
+                    and not diag[i] >> (j - 1) & 1
                 ):
                     ops.append(EditOp(SUBSTITUTE, i - 1, j - 1))
                     i, j = i - 1, j - 1
                     break
             elif kind == DELETE:
-                if i > 0 and cost == table[i - 1, j] + 1:
+                if i > 0 and down[i] >> j & 1:
                     ops.append(EditOp(DELETE, a_index=i - 1))
                     i -= 1
                     break
             elif kind == INSERT:
-                if j > 0 and cost == table[i, j - 1] + 1:
+                if j > 0 and left[i] >> (j - 1) & 1:
                     ops.append(EditOp(INSERT, b_index=j - 1))
                     j -= 1
                     break
         else:
             raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
     ops.reverse()
-    return Alignment(ops, len(a_ids), len(b_ids))
+    return Alignment(ops, len(a_keys), len(b_keys))
 
 
 def edit_distance(
     a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
 ) -> int:
-    """Levenshtein distance under the config's comparison normalization."""
-    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
-    return int(_cost_table(a_ids, b_ids, cfg.band_width)[-1, -1])
+    """Levenshtein distance under the config's comparison normalization.
+
+    Runs the bit-parallel forward pass keeping only the current row, so
+    memory is O(len(b)).
+    """
+    a_keys, b_keys = _comparison_keys(a, b, cfg.normalize_for_alignment)
+    m = len(b_keys)
+    score = m  # D[0][m]
+    for _, hp, hn, _ in _rows(a_keys, b_keys):
+        score += (hp >> m & 1) - (hn >> m & 1)
+    return score
 
 
-def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
-    """Word error rate, ignoring case, punctuation, and symbols.
+def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int, int]:
+    """Word errors and reference length, ignoring case, punctuation, and symbols.
 
-    Both sides are fully stripped before comparison; the distance is divided
-    by the normalized reference length.
+    Both sides are fully stripped before comparison; returns the edit
+    distance between them and the normalized reference length.  Sums of
+    these pairs over documents give corpus-level WER.
     """
     ref = normalize(reference, STRIPPED)
     hyp = normalize(hypothesis, STRIPPED)
-    if not ref:
+    return edit_distance(ref, hyp, _PLAIN), len(ref)
+
+
+def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
+    """Word error rate: ``wer_counts`` errors over the normalized reference length."""
+    errors, ref_len = wer_counts(reference, hypothesis)
+    if not ref_len:
         raise ValueError("WER is undefined: reference is empty after normalization")
-    plain = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
-    return edit_distance(ref, hyp, plain) / len(ref)
+    return errors / ref_len
 
 
 def project_positions(

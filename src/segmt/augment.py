@@ -38,7 +38,7 @@ class AugmentationConfig:
     """Augmentation knobs: truncation-fraction cap and RNG seed."""
 
     p_max: float = 0.3
-    seed: int = 0
+    seed: Optional[int] = None  # unset: CLI falls back to the top-level seed; draws as 0
 
     def __post_init__(self):
         if not 0 < self.p_max <= 1:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .align import AlignmentConfig, edit_distance, project_boundaries
+from .align import project_boundaries, wer_counts
 from .augment import AugmentationConfig, BitextPair, MixtureSpec, augment_corpus, build_training_mixture
 from .bleu import BleuConfig, corpus_bleu
 from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
@@ -43,10 +43,8 @@ from .segment import PauseSplitConfig, break_on_punctuation, split_fixed_length,
 from .text import (
     PUNCTUATED,
     STRIPPED,
-    NormalizationPolicy,
     SegmentedDocument,
     flatten,
-    normalize,
     normalize_document,
 )
 
@@ -93,13 +91,9 @@ def _output_path(args, cfg: PipelineConfig) -> str:
     raise UsageError("no output file given (pass --output or set output_path in the config)")
 
 
-def _effective_seed(flag_value: Optional[int], *fallbacks: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    for value in fallbacks:
-        if value:
-            return value
-    return 0
+def _effective_seed(*candidates: Optional[int]) -> int:
+    """The first seed that is set (not None), in priority order; else 0."""
+    return next((seed for seed in candidates if seed is not None), 0)
 
 
 def _drop_empty(docs: Sequence[SegmentedDocument], action: str) -> List[SegmentedDocument]:
@@ -334,14 +328,9 @@ def cmd_wer(args) -> int:
         raise ValueError(
             f"document count mismatch: {len(ref_docs)} reference vs {len(hyp_docs)} hypothesis"
         )
-    plain = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
-    errors = 0
-    ref_len = 0
-    for ref_doc, hyp_doc in zip(ref_docs, hyp_docs):
-        ref = normalize(ref_doc.tokens(), STRIPPED)
-        hyp = normalize(hyp_doc.tokens(), STRIPPED)
-        errors += edit_distance(ref, hyp, plain)
-        ref_len += len(ref)
+    counts = [wer_counts(ref.tokens(), hyp.tokens()) for ref, hyp in zip(ref_docs, hyp_docs)]
+    errors = sum(e for e, _ in counts)
+    ref_len = sum(n for _, n in counts)
     if ref_len == 0:
         raise ValueError("WER is undefined: reference corpus is empty after normalization")
     rate = errors / ref_len

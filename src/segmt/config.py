@@ -8,7 +8,7 @@ and overridden with ``--config``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -84,28 +84,11 @@ def _build_section(name: str, data: dict):
 
 
 def _build_alignment(data: dict) -> AlignmentConfig:
-    allowed = {"lowercase", "strip_punctuation", "strip_symbols", "band_width"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"lowercase", "strip_punctuation", "strip_symbols"}
     if unknown:
         raise ConfigError(f"unknown keys in section 'alignment': {sorted(unknown)}")
-    policy_kwargs = {k: data[k] for k in ("lowercase", "strip_punctuation", "strip_symbols") if k in data}
-    base = AlignmentConfig()
-    policy = base.normalize_for_alignment
-    if policy_kwargs:
-        merged = {
-            "strip_punctuation": policy.strip_punctuation,
-            "lowercase": policy.lowercase,
-            "strip_symbols": policy.strip_symbols,
-        }
-        merged.update(policy_kwargs)
-        policy = NormalizationPolicy(**merged)
-    try:
-        return AlignmentConfig(
-            normalize_for_alignment=policy,
-            band_width=data.get("band_width"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid section 'alignment': {err}") from err
+    policy = replace(AlignmentConfig().normalize_for_alignment, **data)
+    return AlignmentConfig(normalize_for_alignment=policy)
 
 
 def load_config(path) -> PipelineConfig:

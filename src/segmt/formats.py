@@ -22,6 +22,7 @@ malformed input.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -45,6 +46,31 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}")
 
 
+def _utf8_located(reader):
+    """Turn a reader's UnicodeDecodeError into a ParseError naming the bad line.
+
+    The happy path only pays for a ``try``; on failure the file is re-read
+    as bytes to find the first line that does not decode.
+    """
+
+    @functools.wraps(reader)
+    def wrapper(path: PathLike, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except UnicodeDecodeError as err:
+            with open(path, "rb") as handle:
+                for lineno, raw in enumerate(handle, start=1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        message = f"invalid UTF-8: byte 0x{raw[bad.start]:02x} at column {bad.start + 1}"
+                        raise ParseError(path, lineno, message) from err
+            raise ParseError(path, None, f"invalid UTF-8: {err.reason}") from err
+
+    return wrapper
+
+
+@_utf8_located
 def read_documents(path: PathLike) -> List[SegmentedDocument]:
     """Read a document file; doc ids are assigned as doc0, doc1, ..."""
     blocks: List[List[List[str]]] = []
@@ -71,6 +97,7 @@ def write_documents(path: PathLike, docs: Sequence[SegmentedDocument]) -> None:
                 handle.write(" ".join(seg) + "\n")
 
 
+@_utf8_located
 def read_transcripts(path: PathLike) -> List[TimedTranscript]:
     transcripts = []
     with open(path, encoding="utf-8") as handle:
@@ -116,6 +143,7 @@ def write_transcripts(path: PathLike, transcripts: Sequence[TimedTranscript]) ->
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+@_utf8_located
 def read_bitext(path: PathLike, origin: str = "") -> List[List[BitextPair]]:
     """Read a bitext file as a list of documents (lists of pairs)."""
     blocks: List[List[BitextPair]] = []

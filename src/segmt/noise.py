@@ -10,7 +10,7 @@ reproducible and independent of processing order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .rng import make_rng
 from .text import SegmentedDocument, flatten, rebuild
@@ -24,7 +24,7 @@ class NoiseConfig:
     boundary_merge_rate: float = 0.0
     boundary_split_rate: float = 0.0
     vocabulary: Tuple[str, ...] = ()
-    seed: int = 0
+    seed: Optional[int] = None  # unset: CLI falls back to the top-level seed; draws as 0
 
     def __post_init__(self):
         rates = (

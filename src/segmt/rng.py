@@ -11,6 +11,7 @@ unlike Python's builtin ``hash``.
 from __future__ import annotations
 
 import hashlib
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def _entropy_value(value) -> int:
     raise TypeError(f"cannot derive entropy from {type(value).__name__}")
 
 
-def make_rng(seed: int, *context) -> np.random.Generator:
-    """A PCG64 generator for ``seed`` plus optional context (ints or strings)."""
-    entropy = [_entropy_value(seed)] + [_entropy_value(c) for c in context]
+def make_rng(seed: Optional[int], *context) -> np.random.Generator:
+    """A PCG64 generator for ``seed`` (None draws as 0) plus context (ints or strings)."""
+    entropy = [_entropy_value(0 if seed is None else seed)] + [_entropy_value(c) for c in context]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

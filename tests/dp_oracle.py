@@ -1,0 +1,118 @@
+"""Full-table Levenshtein DP, kept as the test oracle for ``segmt.align``.
+
+This is the aligner the package used before the bit-parallel core: an
+(n+1) x (m+1) int32 cost table filled row by row, and a backtrace that
+reads neighbouring cells of the table and breaks cost ties with
+``cfg.tie_break``.  It is slow and memory-hungry (4 bytes per cell) but
+obviously correct, so the differential tests compare the package against
+it on small inputs.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence
+
+import numpy as np
+
+from segmt.align import (
+    DEFAULT_CONFIG,
+    DELETE,
+    INSERT,
+    MATCH,
+    SUBSTITUTE,
+    Alignment,
+    AlignmentConfig,
+    EditOp,
+)
+from segmt.text import NormalizationPolicy, normalize_token
+
+
+def _token_ids(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
+    """Map both sequences to integer ids of their comparison keys."""
+    interned: dict = {}
+
+    def ids_of(tokens: Sequence[str]) -> np.ndarray:
+        out = np.empty(len(tokens), dtype=np.int32)
+        for i, tok in enumerate(tokens):
+            key = normalize_token(tok, policy)
+            out[i] = interned.setdefault(key, len(interned))
+        return out
+
+    return ids_of(a), ids_of(b)
+
+
+def cost_table(a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+    """Full (n+1) x (m+1) Levenshtein cost table.
+
+    Rows are computed vectorized: the substitute/delete candidates come
+    straight from the previous row, and the left-to-right insert recurrence
+    row[j] = min(cand[j], row[j-1] + 1) is evaluated in closed form as a
+    running minimum of (cand[k] - k) plus j.
+    """
+    n, m = len(a_ids), len(b_ids)
+    table = np.empty((n + 1, m + 1), dtype=np.int32)
+    cols = np.arange(m + 1, dtype=np.int32)
+    table[0] = cols
+    scratch = np.empty(m + 1, dtype=np.int32)
+    for i in range(1, n + 1):
+        prev = table[i - 1]
+        np.add(prev[:-1], b_ids != a_ids[i - 1], out=scratch[1:])
+        np.minimum(scratch[1:], prev[1:] + 1, out=scratch[1:])
+        scratch[0] = i
+        table[i] = np.minimum.accumulate(scratch - cols) + cols
+    return table
+
+
+def oracle_align(
+    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+) -> Alignment:
+    """Minimum-unit-cost edit script from ``a`` to ``b``, read off the full table."""
+    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
+    table = cost_table(a_ids, b_ids)
+    ops: List[EditOp] = []
+    i, j = len(a_ids), len(b_ids)
+    while i > 0 or j > 0:
+        cost = table[i, j]
+        for kind in cfg.tie_break:
+            if kind == MATCH:
+                if (
+                    i > 0
+                    and j > 0
+                    and a_ids[i - 1] == b_ids[j - 1]
+                    and cost == table[i - 1, j - 1]
+                ):
+                    ops.append(EditOp(MATCH, i - 1, j - 1))
+                    i, j = i - 1, j - 1
+                    break
+            elif kind == SUBSTITUTE:
+                if (
+                    i > 0
+                    and j > 0
+                    and a_ids[i - 1] != b_ids[j - 1]
+                    and cost == table[i - 1, j - 1] + 1
+                ):
+                    ops.append(EditOp(SUBSTITUTE, i - 1, j - 1))
+                    i, j = i - 1, j - 1
+                    break
+            elif kind == DELETE:
+                if i > 0 and cost == table[i - 1, j] + 1:
+                    ops.append(EditOp(DELETE, a_index=i - 1))
+                    i -= 1
+                    break
+            elif kind == INSERT:
+                if j > 0 and cost == table[i, j - 1] + 1:
+                    ops.append(EditOp(INSERT, b_index=j - 1))
+                    j -= 1
+                    break
+        else:
+            raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
+    ops.reverse()
+    return Alignment(ops, len(a_ids), len(b_ids))
+
+
+def oracle_distance(
+    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+) -> int:
+    """The corner cell of the full cost table."""
+    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
+    return int(cost_table(a_ids, b_ids)[-1, -1])

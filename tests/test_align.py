@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from dp_oracle import oracle_align, oracle_distance
+from hypothesis import given, settings, strategies as st
 
 from segmt.align import (
+    DEFAULT_TIE_BREAK,
     DELETE,
     INSERT,
     MATCH,
@@ -15,6 +19,7 @@ from segmt.align import (
     project_boundaries,
     project_positions,
     wer,
+    wer_counts,
 )
 from segmt.text import NormalizationPolicy, SegmentedDocument, flatten
 
@@ -132,28 +137,90 @@ def test_alignment_empty_keys_match_positionally():
     assert edit_distance(["...", "a"], ["!!!", "a"]) == 0
 
 
-def test_band_matches_full_table_near_diagonal():
-    a = ["a", "b", "c", "d", "e", "f", "g", "h"]
-    b = ["a", "b", "x", "d", "e", "f", "y", "h"]
-    banded = AlignmentConfig(normalize_for_alignment=NormalizationPolicy(), band_width=2)
-    assert edit_distance(a, b, banded) == edit_distance(a, b, PLAIN)
+#: Every total order of the four op kinds, as ``cfg.tie_break`` accepts them.
+TIE_ORDERS = list(itertools.permutations(DEFAULT_TIE_BREAK))
 
 
-def test_band_width_covers_length_gap():
-    # Band narrower than the length difference must still reach the corner.
-    a = ["a"] * 12
-    b = ["a"] * 3
-    banded = AlignmentConfig(normalize_for_alignment=NormalizationPolicy(), band_width=1)
-    assert edit_distance(a, b, banded) == 9
-    alignment = levenshtein_align(a, b, banded)
-    assert alignment.distance() == 9
+def assert_matches_oracle(a, b, cfg):
+    """The bit-parallel aligner equals the full-table DP: script and corner cell."""
+    assert levenshtein_align(a, b, cfg) == oracle_align(a, b, cfg)
+    assert edit_distance(a, b, cfg) == oracle_distance(a, b, cfg)
+
+
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_align_matches_full_table_oracle(tie_break, data):
+    # Alphabets of 1-3 symbols make ties common, so every tie order matters.
+    alphabet = ["a", "b", "c"][: data.draw(st.integers(1, 3), label="alphabet size")]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=40)
+    a, b = data.draw(tokens, label="a"), data.draw(tokens, label="b")
+    cfg = AlignmentConfig(normalize_for_alignment=NormalizationPolicy(), tie_break=tie_break)
+    assert_matches_oracle(a, b, cfg)
+
+
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.lists(st.sampled_from(["a", "A,", "...", "!!!", "b"]), max_size=20),
+    b=st.lists(st.sampled_from(["a", "A,", "...", "!!!", "b"]), max_size=20),
+)
+def test_align_matches_oracle_with_empty_keys(tie_break, a, b):
+    # "..." and "!!!" normalize to the empty key and match each other.
+    assert_matches_oracle(a, b, AlignmentConfig(tie_break=tie_break))
+
+
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
+def test_align_matches_oracle_on_empty_sides(tie_break):
+    cfg = AlignmentConfig(tie_break=tie_break)
+    for a, b in [([], []), ([], ["x", "y"]), (["x", "y", "z"], []), (["..."], []), ([], ["!!!"])]:
+        assert_matches_oracle(a, b, cfg)
+
+
+def noisy_copy(n, seed):
+    """A seeded n-token document over 300 types and a copy with ~11% token noise."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(300)]
+    a = [vocab[int(k)] for k in rng.integers(0, len(vocab), size=n)]
+    b = []
+    for tok in a:
+        roll = rng.random()
+        if roll >= 0.03:
+            b.append(vocab[int(rng.integers(len(vocab)))] if roll < 0.08 else tok)
+        if rng.random() < 0.03:
+            b.append(vocab[int(rng.integers(len(vocab)))])
+    return a, b
+
+
+def test_30k_token_document_aligns_under_1_gib():
+    a, b = noisy_copy(30_000, seed=3030)
+    tracemalloc.start()
+    try:
+        alignment = levenshtein_align(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**30
+    assert [op.a_index for op in alignment.ops if op.a_index is not None] == list(range(len(a)))
+    assert [op.b_index for op in alignment.ops if op.b_index is not None] == list(range(len(b)))
+
+
+def test_edit_distance_memory_is_linear():
+    # The full table for 30k x 30k tokens would take about 3.4 GiB.
+    a, b = noisy_copy(30_000, seed=3031)
+    tracemalloc.start()
+    try:
+        distance = edit_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert 0 < distance < len(a)
 
 
 def test_alignment_config_validation():
     with pytest.raises(ValueError):
         AlignmentConfig(tie_break=(MATCH, MATCH, DELETE, INSERT))
-    with pytest.raises(ValueError):
-        AlignmentConfig(band_width=0)
 
 
 def test_wer_identical():
@@ -172,6 +239,11 @@ def test_wer_empty_hypothesis():
 
 def test_wer_ignores_case_and_punctuation():
     assert wer(["Hello,", "World!"], ["hello", "world"]) == 0.0
+
+
+def test_wer_counts_errors_and_reference_length():
+    assert wer_counts(["Hello,", "big", "World!"], ["hello", "world"]) == (1, 3)
+    assert wer_counts(["..."], ["a"]) == (1, 0)
 
 
 def test_wer_empty_reference_rejected():

@@ -152,6 +152,34 @@ def test_augment_deterministic(tmp_path, capsys):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_section_seed_zero_beats_top_level_seed(tmp_path, capsys):
+    # An explicit section seed of 0 is set, not missing: top-level seed 7 must not replace it.
+    def side(prefix):
+        return " ".join(f"{prefix}.{j}" for j in range(8))
+
+    lines = "".join(f"{side(f's{i}')}\t{side(f't{i}')}\n" for i in range(10))
+    src = write_lines(tmp_path / "bi.tsv", lines)
+    config = write_lines(tmp_path / "config.yaml", "seed: 7\naugmentation:\n  seed: 0\n")
+    outs = {name: tmp_path / f"{name}.tsv" for name in ("config", "flag0", "flag7")}
+    assert main(["augment", src, "-o", str(outs["config"]), "--config", config]) == 0
+    assert "effective seed: 0" in capsys.readouterr().out
+    assert main(["augment", src, "-o", str(outs["flag0"]), "--seed", "0"]) == 0
+    assert main(["augment", src, "-o", str(outs["flag7"]), "--seed", "7"]) == 0
+    assert outs["config"].read_bytes() == outs["flag0"].read_bytes()
+    assert outs["config"].read_bytes() != outs["flag7"].read_bytes()
+
+
+def test_noise_seed_zero_beats_top_level_seed(tmp_path, capsys):
+    src = write_lines(tmp_path / "in.txt", " ".join(f"w{i}" for i in range(50)) + "\n")
+    config = write_lines(tmp_path / "config.yaml", "seed: 7\nnoise:\n  seed: 0\n")
+    rates = ["--substitution-rate", "0.3", "--split-rate", "0.3"]
+    out_config, out_flag = tmp_path / "c.txt", tmp_path / "f.txt"
+    assert main(["simulate", src, "-o", str(out_config), "--config", config] + rates) == 0
+    assert "effective seed: 0" in capsys.readouterr().out
+    assert main(["simulate", src, "-o", str(out_flag), "--seed", "0"] + rates) == 0
+    assert out_config.read_bytes() == out_flag.read_bytes()
+
+
 def test_mix(tmp_path, capsys):
     wmt = write_lines(tmp_path / "wmt.tsv", "w1\tx1\nw2\tx2\nw3\tx3\n")
     iwslt = write_lines(tmp_path / "iwslt.tsv", "i1\ty1\ni2\ty2\n")
@@ -297,6 +325,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
     src = write_lines(tmp_path / "in.txt", "a\n")
     code = main(["normalize", src, "-o", str(tmp_path / "o.txt"), "--config", str(config)])
     assert code == 2
+
+
+def test_invalid_utf8_exit_code_names_line(tmp_path, capsys):
+    ref = write_lines(tmp_path / "ref.txt", "a b\n")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(b"a\nb \xfe\n")
+    assert main(["wer", ref, str(hyp)]) == 2
+    assert f"{hyp}:2: invalid UTF-8" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

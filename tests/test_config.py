@@ -14,7 +14,6 @@ normalization:
   strip_symbols: false
 alignment:
   lowercase: false
-  band_width: 50
 pause_split:
   pause_threshold_sec: 0.8
   max_tokens: 70
@@ -51,7 +50,6 @@ def test_load_full_config(tmp_path):
     assert cfg.alignment.normalize_for_alignment.lowercase is False
     # Unset alignment keys keep their defaults.
     assert cfg.alignment.normalize_for_alignment.strip_punctuation is True
-    assert cfg.alignment.band_width == 50
     assert cfg.pause_split.pause_threshold_sec == 0.8
     assert cfg.pause_split.max_tokens == 70
     assert cfg.augmentation.p_max == 0.25
@@ -92,6 +90,11 @@ def test_unknown_top_level_key(tmp_path):
 def test_unknown_section_key(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, "bleu:\n  order: 4\n"))
+
+
+def test_alignment_rejects_unknown_key(tmp_path):
+    with pytest.raises(ConfigError, match="unknown keys in section 'alignment'"):
+        load_config(write_config(tmp_path, "alignment:\n  band_width: 50\n"))
 
 
 def test_bad_section_value(tmp_path):

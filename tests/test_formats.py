@@ -145,3 +145,32 @@ def test_parse_error_message_format(tmp_path):
     err = ParseError("input.tsv", 7, "bad field")
     assert str(err) == "input.tsv:7: bad field"
     assert ParseError("input.tsv", None, "oops").line is None
+
+
+
+def _assert_utf8_error_at_line_2(reader, path):
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"{path}:2: invalid UTF-8: byte 0xff at column 3"
+
+
+def test_documents_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_bytes("café au lait\n".encode("utf-8") + b"b \xff c\n")
+    _assert_utf8_error_at_line_2(read_documents, path)
+
+
+def test_transcripts_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    record = json.dumps(
+        {"doc_id": "x", "words": [{"text": "é", "start": 0.0, "end": 0.1}]}, ensure_ascii=False
+    )
+    path.write_bytes(record.encode("utf-8") + b"\n" + b'{"\xff": 1}\n')
+    _assert_utf8_error_at_line_2(read_transcripts, path)
+
+
+def test_bitext_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "bi.tsv"
+    path.write_bytes("a\tü\n".encode("utf-8") + b"b\t\xff\n")
+    _assert_utf8_error_at_line_2(read_bitext, path)
