@@ -299,6 +299,24 @@ def _bleu_config(args, cfg: PipelineConfig) -> BleuConfig:
         raise UsageError(str(err)) from err
 
 
+def _check_same_segmentation(hyp_docs, ref_docs) -> None:
+    """Plain scoring pairs segments 1:1, so both sides must be cut alike."""
+    for hyp, ref in zip(hyp_docs, ref_docs):
+        if len(hyp.segments) != len(ref.segments):
+            raise ValueError(
+                f"segment count mismatch in document {ref.doc_id}: {len(hyp.segments)} "
+                f"hypothesis vs {len(ref.segments)} reference (--resegment scores across "
+                "segmentations)"
+            )
+    if len(hyp_docs) != len(ref_docs):
+        paired = min(len(hyp_docs), len(ref_docs))
+        unpaired = (hyp_docs if len(hyp_docs) > paired else ref_docs)[paired]
+        raise ValueError(
+            f"document count mismatch: {len(hyp_docs)} hypothesis vs {len(ref_docs)} "
+            f"reference; first unpaired document {unpaired.doc_id}"
+        )
+
+
 def cmd_score(args) -> int:
     cfg = _pipeline_config(args)
     bleu_cfg = _bleu_config(args, cfg)
@@ -307,6 +325,7 @@ def cmd_score(args) -> int:
     if args.resegment:
         report = score_documents(hyp_docs, ref_docs, bleu_cfg, cfg.alignment)
     else:
+        _check_same_segmentation(hyp_docs, ref_docs)
         hyp_segments = [seg for doc in hyp_docs for seg in doc.segments]
         ref_segments = [seg for doc in ref_docs for seg in doc.segments]
         report = corpus_bleu(hyp_segments, ref_segments, bleu_cfg)

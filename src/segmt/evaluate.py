@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .align import AlignmentConfig, DEFAULT_CONFIG as DEFAULT_ALIGN, project_boundaries, project_positions
-from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, sentence_bleu
+from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
 from .text import SegmentedDocument, flatten
 
 #: Reference-length bucket bounds used by the length breakdown, as
@@ -101,16 +101,6 @@ def resegment_hypothesis(
     return pieces
 
 
-def resegment_and_score(
-    hyp_doc: SegmentedDocument,
-    ref_doc: SegmentedDocument,
-    cfg: BleuConfig = DEFAULT_BLEU,
-    align_cfg: AlignmentConfig = DEFAULT_ALIGN,
-) -> BleuReport:
-    """Project reference boundaries onto the hypothesis, then corpus BLEU."""
-    return score_documents([hyp_doc], [ref_doc], cfg, align_cfg)
-
-
 def score_documents(
     hyp_docs: Sequence[SegmentedDocument],
     ref_docs: Sequence[SegmentedDocument],
@@ -163,11 +153,11 @@ def bucket_report(
 
     sums = [0.0] * len(bounds)
     counts = [0] * len(bounds)
-    for hyp, ref in zip(hyp_segments, ref_segments):
+    for ref, report in zip(ref_segments, pairwise_bleu(hyp_segments, ref_segments, cfg)):
         index = _bucket_index(len(ref), bounds)
         if index is None:
             continue
-        sums[index] += sentence_bleu(hyp, ref, cfg).score
+        sums[index] += report.score
         counts[index] += 1
     buckets = [
         LengthBucket(

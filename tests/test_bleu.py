@@ -1,10 +1,23 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from segmt.bleu import BleuConfig, SENTENCE_CONFIG, corpus_bleu, sentence_bleu
+import bleu_oracle
+from segmt import bleu
+from segmt.bleu import (
+    BleuConfig,
+    SENTENCE_CONFIG,
+    corpus_bleu,
+    pair_statistics,
+    pairwise_bleu,
+    sentence_bleu,
+)
+from segmt.evaluate import bucket_report, resegment_hypothesis
+from segmt.text import SegmentedDocument
 
 
 def oracle_bleu(hypotheses, references, max_order=4, smoothing=False):
@@ -150,3 +163,131 @@ def test_score_bounds():
         report = corpus_bleu(hyp, ref, SENTENCE_CONFIG)
         assert 0.0 <= report.score <= 100.0
         assert 0.0 <= report.brevity_penalty <= 1.0
+
+
+# ------------------------------------------- differential tests vs the oracle
+
+
+def assert_plain_types(report):
+    # numpy scalars would change the --json output.
+    assert type(report.score) is float
+    assert type(report.brevity_penalty) is float
+    assert all(type(p) is float for p in report.ngram_precisions)
+    assert type(report.hyp_len) is int
+    assert type(report.ref_len) is int
+
+
+configs_st = st.builds(
+    BleuConfig,
+    max_ngram_order=st.integers(1, 6),
+    case_sensitive=st.booleans(),
+    smoothing=st.sampled_from(["none", "add-one"]),
+)
+
+
+@st.composite
+def corpora_st(draw, min_ref_len=0):
+    """Tie-heavy pairs over 1-3 symbols, each in lower and upper case."""
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    token = st.sampled_from(list(symbols) + list(symbols.upper()))
+    count = draw(st.integers(1, 8))
+    hyps = draw(st.lists(st.lists(token, max_size=12), min_size=count, max_size=count))
+    refs = draw(
+        st.lists(st.lists(token, min_size=min_ref_len, max_size=12), min_size=count, max_size=count)
+    )
+    return hyps, refs
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora_st(), configs_st, st.sampled_from([1, 3, 7, 20, bleu.BLOCK_TOKENS]))
+def test_corpus_bleu_equals_oracle(corpus, cfg, block_tokens):
+    hyps, refs = corpus
+    with mock.patch.object(bleu, "BLOCK_TOKENS", block_tokens):
+        if not any(refs):
+            with pytest.raises(ValueError):
+                corpus_bleu(hyps, refs, cfg)
+            return
+        report = corpus_bleu(hyps, refs, cfg)
+    assert report == bleu_oracle.corpus_bleu(hyps, refs, cfg)
+    assert_plain_types(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora_st(min_ref_len=1), configs_st, st.sampled_from([1, 3, 7, 20, bleu.BLOCK_TOKENS]))
+def test_pairwise_bleu_equals_oracle_per_pair(corpus, cfg, block_tokens):
+    hyps, refs = corpus
+    with mock.patch.object(bleu, "BLOCK_TOKENS", block_tokens):
+        reports = pairwise_bleu(hyps, refs, cfg)
+    assert reports == [bleu_oracle.sentence_bleu(h, r, cfg) for h, r in zip(hyps, refs)]
+    for hyp, ref, report in zip(hyps, refs, reports):
+        assert sentence_bleu(hyp, ref, cfg) == report
+        assert_plain_types(report)
+
+
+def test_corpus_larger_than_one_block_equals_oracle():
+    rng = np.random.default_rng(80)
+    words = ["a", "A", "b", "B", "c"]
+
+    def segment(lo):
+        return [words[k] for k in rng.integers(0, len(words), size=int(rng.integers(lo, 13)))]
+
+    hyps = [segment(0) for _ in range(3000)]
+    refs = [segment(1) for _ in range(3000)]
+    assert sum(map(len, hyps + refs)) > 2 * bleu.BLOCK_TOKENS
+    for cfg in (BleuConfig(), BleuConfig(max_ngram_order=6, case_sensitive=False), SENTENCE_CONFIG):
+        report = corpus_bleu(hyps, refs, cfg)
+        assert report == bleu_oracle.corpus_bleu(hyps, refs, cfg)
+        assert_plain_types(report)
+        stats = pair_statistics(hyps, refs, cfg)
+        with mock.patch.object(bleu, "BLOCK_TOKENS", 10**9):
+            whole = pair_statistics(hyps, refs, cfg)
+        assert np.array_equal(stats.matched, whole.matched)
+        assert np.array_equal(stats.total, whole.total)
+
+
+def test_pair_statistics_counts():
+    stats = pair_statistics([["a", "a", "b"], []], [["a", "b", "b"], ["a"]])
+    assert stats.matched.tolist() == [[2, 1, 0, 0], [0, 0, 0, 0]]
+    assert stats.total.tolist() == [[3, 2, 1, 0], [0, 0, 0, 0]]
+    assert stats.hyp_len.tolist() == [3, 0]
+    assert stats.ref_len.tolist() == [3, 1]
+    with pytest.raises(ValueError):
+        pair_statistics([["a"]], [["a"], ["b"]])
+
+
+def test_pairwise_bleu_rejects_empty_reference():
+    with pytest.raises(ValueError):
+        pairwise_bleu([["a"], ["b"]], [["a"], []])
+
+
+@st.composite
+def documents_st(draw):
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    token = st.sampled_from(list(symbols) + list(symbols.upper()))
+    segments = st.lists(st.lists(token, min_size=1, max_size=12), min_size=1, max_size=6)
+    count = draw(st.integers(1, 3))
+    hyps = [SegmentedDocument(draw(segments)) for _ in range(count)]
+    refs = [SegmentedDocument(draw(segments)) for _ in range(count)]
+    return hyps, refs
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents_st(), configs_st)
+def test_bucket_report_equals_oracle_mean_sentence_bleu(docs, cfg):
+    hyp_docs, ref_docs = docs
+    bounds = ((0, 3), (3, 6), (7, 13))
+    sums = [0.0] * len(bounds)
+    counts = [0] * len(bounds)
+    for hyp_doc, ref_doc in zip(hyp_docs, ref_docs):
+        pieces = resegment_hypothesis(hyp_doc, ref_doc)
+        for hyp, ref in zip(pieces, ref_doc.segments):
+            for i, (lo, hi) in enumerate(bounds):
+                if lo <= len(ref) < hi:
+                    sums[i] += bleu_oracle.sentence_bleu(hyp, ref, cfg).score
+                    counts[i] += 1
+    report = bucket_report(hyp_docs, ref_docs, bounds, cfg)
+    assert [b.count for b in report.buckets] == counts
+    assert [b.mean_score for b in report.buckets] == [
+        s / c if c else 0.0 for s, c in zip(sums, counts)
+    ]
+    assert all(type(b.mean_score) is float for b in report.buckets)

@@ -122,6 +122,25 @@ def test_score_segment_count_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_score_plain_rejects_segments_paired_across_documents(tmp_path, capsys):
+    # Same flattened segment count, but hypothesis document doc0 holds two
+    # segments where the reference's doc0 holds one.
+    hyp = write_lines(tmp_path / "hyp.txt", "a b\nc d\n\ne f\n")
+    ref = write_lines(tmp_path / "ref.txt", "a b\n\nc d\n\ne f\n")
+    assert main(["score", hyp, ref]) == 2
+    err = capsys.readouterr().err
+    assert "mismatch" in err and "doc0" in err
+    assert main(["report", hyp, ref]) == 2
+
+
+def test_score_plain_rejects_document_count_mismatch(tmp_path, capsys):
+    hyp = write_lines(tmp_path / "hyp.txt", "a b\n\nc d\n")
+    ref = write_lines(tmp_path / "ref.txt", "a b\n\nc d\n\ne f\n")
+    assert main(["score", hyp, ref]) == 2
+    err = capsys.readouterr().err
+    assert "document count mismatch" in err and "doc2" in err
+
+
 def test_wer_output(tmp_path, capsys):
     ref = write_lines(tmp_path / "ref.txt", "the weather today was warm\n")
     hyp = write_lines(tmp_path / "hyp.txt", "the whether today was warm\n")

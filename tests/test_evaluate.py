@@ -8,7 +8,6 @@ from segmt.evaluate import (
     DEFAULT_BUCKET_BOUNDS,
     bucket_report,
     make_error_variants,
-    resegment_and_score,
     resegment_hypothesis,
     score_documents,
 )
@@ -92,20 +91,20 @@ def test_resegment_collapse_yields_empty_piece():
 def test_resegment_and_score_identity():
     ref = SegmentedDocument([["a", "b", "c"], ["d", "e"]])
     hyp = SegmentedDocument([["a"], ["b", "c", "d"], ["e"]])
-    assert resegment_and_score(hyp, ref).score == 100.0
+    assert score_documents([hyp], [ref]).score == 100.0
 
 
 def test_resegment_and_score_exact_match():
     doc = SegmentedDocument([["x", "y"], ["z"]])
-    assert resegment_and_score(doc, doc).score == 100.0
+    assert score_documents([doc], [doc]).score == 100.0
 
 
 def test_resegment_substitution_drops_one_clipped_count():
     ref = SegmentedDocument([["a", "b", "c"], ["d", "e", "f"]])
     clean = SegmentedDocument([["a", "b", "c", "d"], ["e", "f"]])
     noisy = SegmentedDocument([["a", "b", "x", "d"], ["e", "f"]])
-    base = resegment_and_score(clean, ref)
-    worse = resegment_and_score(noisy, ref)
+    base = score_documents([clean], [ref])
+    worse = score_documents([noisy], [ref])
     assert base.score == 100.0
     base_matches = round(base.ngram_precisions[0] * 6)
     worse_matches = round(worse.ngram_precisions[0] * 6)
@@ -130,7 +129,7 @@ def test_resegmentation_identity_across_fixed_lengths():
         ref = random_document(rng, tokens=40, segments=6)
         for n in (1, 3, 7, 40):
             hyp = split_fixed_length(ref.tokens(), n)
-            assert resegment_and_score(hyp, ref).score == 100.0
+            assert score_documents([hyp], [ref]).score == 100.0
 
 
 def test_bucket_report_single_bucket():
