@@ -5,10 +5,14 @@ exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
 backtrace reads its options from those bits (Hyyro 2004), resolving cost
 ties with a fixed total order so identical inputs always produce identical
-edit scripts.  Distance alone keeps only the current row.  Boundary
-projection transfers segment boundaries from one transcript onto another
-transcript's tokens by following the alignment of the token immediately
-before each boundary.
+edit scripts.  All aligners share one forward pass and one backtrace;
+projection reads positions off the backtrace, with no ``EditOp`` objects.
+The table of (b, a) is the transpose of that of (a, b), so ``variants``
+(``cross_project``) runs one forward pass and two backtraces.  The kept rows
+limit one alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only
+the current row.  Boundary projection transfers segment boundaries from one
+transcript onto another transcript's tokens by following the alignment of
+the token immediately before each boundary.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ class AlignmentConfig:
 
 DEFAULT_CONFIG = AlignmentConfig()
 
+#: Size budget of one alignment in DP cells (tokens of a times tokens of b).
+#: The kept rows take three bits a cell: 30k x 30k tokens peak at 311 MiB, so
+#: this budget (about 45k x 45k) stays near 700 MiB.  A larger pair raises
+#: ``ValueError`` before any row is kept; ``edit_distance`` needs no budget.
+MAX_ALIGN_CELLS = 2_000_000_000
+
 #: Compares tokens exactly as given (WER normalizes both sides beforehand).
 _PLAIN = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
 
@@ -138,31 +148,41 @@ def _rows(a_keys: Sequence[str], b_keys: Sequence[str]):
         yield d0, hp, hn, vp
 
 
-def levenshtein_align(
-    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
-) -> Alignment:
-    """Minimum-unit-cost edit script from token sequence ``a`` to ``b``.
-
-    Deterministic: DP cost ties are broken by ``cfg.tie_break``, so repeated
-    calls yield identical scripts.  The forward pass keeps three m-bit
-    vectors per row of ``a`` (see ``_rows``), from which the backtrace reads
-    every step's options in O(1) without materializing the cost table.
-    """
-    a_keys, b_keys = _comparison_keys(a, b, cfg.normalize_for_alignment)
+def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
+    """``(a_keys, b_keys, diag, down, left)``: per row i of D, ``diag`` bit j-1
+    is D[i][j] == D[i-1][j-1], ``down`` bit j is D[i][j] == D[i-1][j] + 1 and
+    ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_rows``)."""
+    if len(a) * len(b) > MAX_ALIGN_CELLS:
+        raise ValueError(
+            f"alignment of {len(a)} x {len(b)} tokens exceeds the budget of "
+            f"{MAX_ALIGN_CELLS} cells (MAX_ALIGN_CELLS)"
+        )
+    a_keys, b_keys = _comparison_keys(a, b, policy)
     # Row 0 (before any token of a): only inserts, every D[0][j] - D[0][j-1] = +1.
     diag, down, left = [0], [0], [(1 << len(b_keys)) - 1]
     for d0, hp, _, vp in _rows(a_keys, b_keys):
         diag.append(d0)
         down.append(hp)
         left.append(vp)
-    ops: List[EditOp] = []
+    return a_keys, b_keys, diag, down, left
+
+
+def _backtrace(forward, tie_break: Sequence[str]) -> List[str]:
+    """Op kinds of the script from ``a`` to ``b``, last step first.
+
+    Cost ties go to the first feasible kind in ``tie_break``.  D of (b, a) is
+    the transpose of D of (a, b): its delete test is ``left``, its insert test
+    ``down``.  So with DELETE and INSERT swapped in ``tie_break`` the same
+    rows yield the script from ``b`` to ``a`` (in a's kinds).
+    """
+    a_keys, b_keys, diag, down, left = forward
+    kinds: List[str] = []
     i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
-        for kind in cfg.tie_break:
+        for kind in tie_break:
             if kind == MATCH:
                 # Equal tokens always give D[i][j] == D[i-1][j-1]: no cost check needed.
                 if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
-                    ops.append(EditOp(MATCH, i - 1, j - 1))
                     i, j = i - 1, j - 1
                     break
             elif kind == SUBSTITUTE:
@@ -172,23 +192,42 @@ def levenshtein_align(
                     and a_keys[i - 1] != b_keys[j - 1]
                     and not diag[i] >> (j - 1) & 1
                 ):
-                    ops.append(EditOp(SUBSTITUTE, i - 1, j - 1))
                     i, j = i - 1, j - 1
                     break
             elif kind == DELETE:
                 if i > 0 and down[i] >> j & 1:
-                    ops.append(EditOp(DELETE, a_index=i - 1))
                     i -= 1
                     break
             elif kind == INSERT:
                 if j > 0 and left[i] >> (j - 1) & 1:
-                    ops.append(EditOp(INSERT, b_index=j - 1))
                     j -= 1
                     break
         else:
             raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
+        kinds.append(kind)
+    return kinds
+
+
+def levenshtein_align(
+    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+) -> Alignment:
+    """Minimum-unit-cost edit script from token sequence ``a`` to ``b``.
+
+    Deterministic: DP cost ties are broken by ``cfg.tie_break``, so repeated
+    calls yield identical scripts.  The forward pass keeps three m-bit
+    vectors per row of ``a`` (see ``_forward``), from which the backtrace
+    reads every step's options in O(1) without materializing the cost table.
+    Raises ``ValueError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
+    """
+    forward = _forward(a, b, cfg.normalize_for_alignment)
+    ops: List[EditOp] = []
+    i, j = len(a), len(b)
+    for kind in _backtrace(forward, cfg.tie_break):
+        i -= kind != INSERT
+        j -= kind != DELETE
+        ops.append(EditOp(kind, None if kind == INSERT else i, None if kind == DELETE else j))
     ops.reverse()
-    return Alignment(ops, len(a_keys), len(b_keys))
+    return Alignment(ops, len(a), len(b))
 
 
 def edit_distance(
@@ -227,6 +266,27 @@ def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
     return errors / ref_len
 
 
+def _positions(kinds: List[str], source_only: str, boundaries: Sequence[int]) -> List[int]:
+    """``project_positions`` read off backtrace kinds (see its docstring).
+
+    ``source_only`` is the kind that consumes a source token alone: DELETE
+    when the source is ``a``, INSERT when it is ``b``.
+    """
+    target_only = INSERT if source_only == DELETE else DELETE
+    nearest: List[int] = []  # per source token
+    last = target = -1
+    for kind in reversed(kinds):
+        if kind == target_only:
+            target += 1
+        elif kind == source_only:
+            nearest.append(last)
+        else:
+            target += 1
+            last = target
+            nearest.append(target)
+    return [nearest[k] for k in boundaries]
+
+
 def project_positions(
     source_doc: SegmentedDocument,
     target_tokens: Sequence[str],
@@ -241,16 +301,8 @@ def project_positions(
     a target counterpart.  Entries are non-decreasing.
     """
     src_tokens, boundaries = flatten(source_doc)
-    alignment = levenshtein_align(src_tokens, target_tokens, cfg)
-    aligned = alignment.target_index_of()
-    # nearest_target[k]: aligned target index of the closest source j <= k, or -1
-    nearest_target = [-1] * len(src_tokens)
-    last = -1
-    for k, tgt in enumerate(aligned):
-        if tgt is not None:
-            last = tgt
-        nearest_target[k] = last
-    return [nearest_target[k] for k in boundaries.positions]
+    forward = _forward(src_tokens, target_tokens, cfg.normalize_for_alignment)
+    return _positions(_backtrace(forward, cfg.tie_break), DELETE, boundaries.positions)
 
 
 def project_boundaries(
@@ -270,4 +322,26 @@ def project_boundaries(
         target_tokens,
         (k for k in positions if k >= 0),
         doc_id=source_doc.doc_id,
+    )
+
+
+def cross_project(
+    a_doc: SegmentedDocument,
+    b_doc: SegmentedDocument,
+    cfg: AlignmentConfig = DEFAULT_CONFIG,
+) -> Tuple[SegmentedDocument, SegmentedDocument]:
+    """``project_boundaries(a_doc, b_tokens)`` and ``(b_doc, a_tokens)``, from one forward pass.
+
+    The (a, b) rows are backtraced twice: with ``cfg.tie_break``, and with
+    DELETE and INSERT swapped, which follows the script from b to a.
+    """
+    a_tokens, a_bounds = flatten(a_doc)
+    b_tokens, b_bounds = flatten(b_doc)
+    forward = _forward(a_tokens, b_tokens, cfg.normalize_for_alignment)
+    swapped = tuple({DELETE: INSERT, INSERT: DELETE}.get(k, k) for k in cfg.tie_break)
+    on_b = _positions(_backtrace(forward, cfg.tie_break), DELETE, a_bounds.positions)
+    on_a = _positions(_backtrace(forward, swapped), INSERT, b_bounds.positions)
+    return (
+        rebuild(b_tokens, (k for k in on_b if k >= 0), doc_id=a_doc.doc_id),
+        rebuild(a_tokens, (k for k in on_a if k >= 0), doc_id=b_doc.doc_id),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .align import AlignmentConfig, DEFAULT_CONFIG as DEFAULT_ALIGN, project_boundaries, project_positions
+from .align import AlignmentConfig, DEFAULT_CONFIG as DEFAULT_ALIGN, cross_project, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
 from .text import SegmentedDocument, flatten
 
@@ -64,10 +64,7 @@ def make_error_variants(
     """Isolate token errors from boundary errors by cross-projection."""
     if not gold.segments or not system.segments:
         raise ValueError("error variants need non-empty gold and system documents")
-    system_tokens, _ = flatten(system)
-    gold_tokens, _ = flatten(gold)
-    recognition = project_boundaries(gold, system_tokens, cfg)
-    segmentation = project_boundaries(system, gold_tokens, cfg)
+    recognition, segmentation = cross_project(gold, system, cfg)
     return ErrorVariantSet(
         gold=gold,
         system=system,

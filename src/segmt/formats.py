@@ -99,6 +99,7 @@ def write_documents(path: PathLike, docs: Sequence[SegmentedDocument]) -> None:
 
 @_utf8_located
 def read_transcripts(path: PathLike) -> List[TimedTranscript]:
+    """Read a transcript file; records without a doc id get doc0, doc1, ... by index."""
     transcripts = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -126,7 +127,7 @@ def read_transcripts(path: PathLike) -> List[TimedTranscript]:
                     ) from err
             try:
                 transcripts.append(
-                    TimedTranscript(words, doc_id=str(record.get("doc_id", f"doc{lineno}")))
+                    TimedTranscript(words, doc_id=str(record.get("doc_id", f"doc{len(transcripts)}")))
                 )
             except ValueError as err:
                 raise ParseError(path, lineno, str(err)) from err

@@ -24,7 +24,7 @@ from segmt.align import (
     AlignmentConfig,
     EditOp,
 )
-from segmt.text import NormalizationPolicy, normalize_token
+from segmt.text import NormalizationPolicy, SegmentedDocument, flatten, normalize_token, rebuild
 
 
 def _token_ids(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
@@ -116,3 +116,28 @@ def oracle_distance(
     """The corner cell of the full cost table."""
     a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
     return int(cost_table(a_ids, b_ids)[-1, -1])
+
+
+def oracle_positions(
+    source_doc: SegmentedDocument, target_tokens: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+) -> List[int]:
+    """``project_positions`` from the oracle script's ``target_index_of()``.
+
+    A boundary after source token ``k`` lands after the target token aligned
+    to the nearest source token at or before ``k`` that has one, else at -1.
+    """
+    tokens, boundaries = flatten(source_doc)
+    nearest, last = [], -1
+    for target in oracle_align(tokens, target_tokens, cfg).target_index_of():
+        if target is not None:
+            last = target
+        nearest.append(last)
+    return [nearest[k] for k in boundaries.positions]
+
+
+def oracle_projection(
+    source_doc: SegmentedDocument, target_tokens: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+) -> SegmentedDocument:
+    """``project_boundaries`` built on ``oracle_positions``."""
+    positions = oracle_positions(source_doc, target_tokens, cfg)
+    return rebuild(target_tokens, (k for k in positions if k >= 0), doc_id=source_doc.doc_id)

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dp_oracle import oracle_align, oracle_distance
+import segmt.align
+from dp_oracle import oracle_align, oracle_distance, oracle_positions, oracle_projection
 from hypothesis import given, settings, strategies as st
 
 from segmt.align import (
@@ -14,6 +15,7 @@ from segmt.align import (
     SUBSTITUTE,
     Alignment,
     AlignmentConfig,
+    cross_project,
     edit_distance,
     levenshtein_align,
     project_boundaries,
@@ -175,6 +177,60 @@ def test_align_matches_oracle_on_empty_sides(tie_break):
     cfg = AlignmentConfig(tie_break=tie_break)
     for a, b in [([], []), ([], ["x", "y"]), (["x", "y", "z"], []), (["..."], []), ([], ["!!!"])]:
         assert_matches_oracle(a, b, cfg)
+
+
+#: "..." has the empty comparison key; "A," has the key of "a".
+SHARED_PASS_SYMBOLS = ["a", "b", "...", "A,"]
+
+
+def documents(alphabet, min_segments=0):
+    """Documents of up to 8 non-empty segments over ``alphabet``."""
+    segment = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)
+    return st.lists(segment, min_size=min_segments, max_size=8).map(SegmentedDocument)
+
+
+def draw_alphabet(data):
+    """1-3 distinct symbols: small alphabets make cost ties common."""
+    return data.draw(
+        st.lists(st.sampled_from(SHARED_PASS_SYMBOLS), min_size=1, max_size=3, unique=True),
+        label="alphabet",
+    )
+
+
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_project_positions_matches_oracle(tie_break, data):
+    alphabet = draw_alphabet(data)
+    source = data.draw(documents(alphabet), label="source")
+    target = data.draw(st.lists(st.sampled_from(alphabet), max_size=20), label="target")
+    cfg = AlignmentConfig(tie_break=tie_break)
+    assert project_positions(source, target, cfg) == oracle_positions(source, target, cfg)
+
+
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cross_project_matches_oracle_in_both_directions(tie_break, data):
+    # The second backtrace over the (a, b) rows must equal aligning b to a.
+    alphabet = draw_alphabet(data)
+    a_doc = data.draw(documents(alphabet), label="a")
+    b_doc = data.draw(documents(alphabet), label="b")
+    cfg = AlignmentConfig(tie_break=tie_break)
+    on_b, on_a = cross_project(a_doc, b_doc, cfg)
+    assert on_b == oracle_projection(a_doc, b_doc.tokens(), cfg)
+    assert on_a == oracle_projection(b_doc, a_doc.tokens(), cfg)
+
+
+def test_alignment_over_budget_fails_before_any_row(monkeypatch):
+    monkeypatch.setattr(segmt.align, "MAX_ALIGN_CELLS", 11)
+    assert len(levenshtein_align(["a"] * 3, ["b"] * 3).ops) == 3  # 9 cells fit
+    with pytest.raises(ValueError, match=r"3 x 4 tokens"):
+        levenshtein_align(["a"] * 3, ["b"] * 4)
+    with pytest.raises(ValueError, match=r"4 x 3 tokens"):
+        project_positions(SegmentedDocument([["a"] * 4]), ["b"] * 3)
+    # Distance alone keeps one row and has no budget.
+    assert edit_distance(["a"] * 3, ["b"] * 4) == 4
 
 
 def noisy_copy(n, seed):

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+
+import segmt.align
 from segmt.cli import main
 from segmt.formats import write_transcripts
 from segmt.segment import TimedTranscript, TimedWord
@@ -94,6 +97,44 @@ def test_variants_table_layout(tmp_path):
     assert (
         out_dir / "segmentation.txt"
     ).read_text(encoding="utf-8") == "the weather\ntoday was warm\n"
+
+
+def seeded_documents(rng, docs, alphabet):
+    """Document-file text: ``docs`` documents of 30-60 tokens cut at random."""
+    blocks = []
+    for _ in range(docs):
+        tokens = [alphabet[k] for k in rng.integers(0, len(alphabet), size=rng.integers(30, 61))]
+        cuts = sorted({0, *rng.integers(1, len(tokens), size=6).tolist(), len(tokens)})
+        blocks.append("".join(" ".join(tokens[i:j]) + "\n" for i, j in zip(cuts, cuts[1:])))
+    return "\n".join(blocks)
+
+
+def test_variants_match_project_in_each_direction(tmp_path):
+    # One forward pass serves both variants; each must equal its own `project`
+    # run.  This pair has cost ties that the default tie order resolves
+    # differently in the two directions: backtracing both with one order fails.
+    rng = np.random.default_rng(404)
+    alphabet = ["a", "b", "c", "B.", "..."]
+    gold = write_lines(tmp_path / "gold.txt", seeded_documents(rng, 4, alphabet))
+    system = write_lines(tmp_path / "system.txt", seeded_documents(rng, 4, alphabet))
+    out_dir = tmp_path / "variants"
+    assert main(["variants", gold, system, "-d", str(out_dir)]) == 0
+    assert main(["project", gold, system, "-o", str(tmp_path / "on_system.txt")]) == 0
+    assert main(["project", system, gold, "-o", str(tmp_path / "on_gold.txt")]) == 0
+    recognition = (out_dir / "recognition.txt").read_bytes()
+    segmentation = (out_dir / "segmentation.txt").read_bytes()
+    assert recognition == (tmp_path / "on_system.txt").read_bytes()
+    assert segmentation == (tmp_path / "on_gold.txt").read_bytes()
+
+
+def test_project_over_alignment_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(segmt.align, "MAX_ALIGN_CELLS", 10)
+    source = write_lines(tmp_path / "src.txt", "a b\nc\n")
+    target = write_lines(tmp_path / "tgt.txt", "a b c d\n")
+    out = tmp_path / "out.txt"
+    assert main(["project", source, target, "-o", str(out)]) == 2
+    assert "3 x 4 tokens" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_resegment_identity(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from dp_oracle import oracle_projection
+from hypothesis import given, settings, strategies as st
 
+from segmt.align import DEFAULT_TIE_BREAK, AlignmentConfig
 from segmt.bleu import BleuConfig
 from segmt.evaluate import (
     DEFAULT_BUCKET_BOUNDS,
@@ -60,6 +64,25 @@ def test_error_variants_token_preservation():
         variants = make_error_variants(gold, system)
         assert variants.recognition_errors.tokens() == system.tokens()
         assert variants.segmentation_errors.tokens() == gold.tokens()
+
+
+@pytest.mark.parametrize("tie_break", list(itertools.permutations(DEFAULT_TIE_BREAK)))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_error_variants_match_oracle_projections(tie_break, data):
+    # Both variants come from one forward pass; each must equal the projection
+    # built from the full-table oracle's alignment in its own direction.  "..."
+    # has the empty comparison key, "A," the key of "a"; 1-3 symbols make ties.
+    alphabet = data.draw(
+        st.lists(st.sampled_from(["a", "b", "...", "A,"]), min_size=1, max_size=3, unique=True)
+    )
+    segment = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)
+    document = st.lists(segment, min_size=1, max_size=8).map(SegmentedDocument)
+    gold, system = data.draw(document, label="gold"), data.draw(document, label="system")
+    cfg = AlignmentConfig(tie_break=tie_break)
+    variants = make_error_variants(gold, system, cfg)
+    assert variants.recognition_errors.segments == oracle_projection(gold, system.tokens(), cfg).segments
+    assert variants.segmentation_errors.segments == oracle_projection(system, gold.tokens(), cfg).segments
 
 
 def test_error_variants_reject_empty():

@@ -65,6 +65,14 @@ def test_transcripts_round_trip(tmp_path):
     assert record["words"][0] == {"text": "hello", "start": 0.0, "end": 0.4}
 
 
+def test_transcripts_default_doc_id_is_index(tmp_path):
+    # Named by index among the transcripts read, as documents are, not by line.
+    word = '{"words": [{"text": "a", "start": 0.0, "end": 0.1}]}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_text(word + "\n" + word, encoding="utf-8")
+    assert [t.doc_id for t in read_transcripts(path)] == ["doc0", "doc1"]
+
+
 def test_transcripts_invalid_json(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"doc_id": "x", "words": [\n', encoding="utf-8")
