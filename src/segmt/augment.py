@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rng import make_rng
+from .rng import make_rng, uniforms
 
 
 @dataclass
@@ -124,18 +124,39 @@ def augment_corpus(
     ``index_offset`` shifts the pair indices, so a corpus processed in
     chunks draws the same values as one processed whole.
     """
-    out: List[BitextPair] = []
-    skipped = 0
-    for index in range(0, len(pairs) - 1, 2):
-        p = float(make_rng(cfg.seed, index_offset + index).uniform(0.0, cfg.p_max))
-        merged = augment_pair(pairs[index], pairs[index + 1], p)
-        if merged is None:
-            skipped += 1
-        else:
-            out.append(merged)
-    if len(pairs) % 2 == 1:
-        out.append(pairs[-1])
-    return AugmentationResult(out, skipped)
+    return augment_blocks([pairs], cfg, index_offset)[0]
+
+
+def augment_blocks(
+    blocks: Sequence[Sequence[BitextPair]],
+    cfg: AugmentationConfig,
+    index_offset: int = 0,
+) -> List[AugmentationResult]:
+    """``augment_corpus`` of every block, each offset by the lengths of those before it.
+
+    Block ``k`` gets the result of ``augment_corpus(blocks[k], cfg,
+    index_offset + len(blocks[0]) + ... + len(blocks[k - 1]))``, but the
+    fractions of all blocks are drawn in one ``rng.uniforms`` call.
+    """
+    indices: List[int] = []
+    for block in blocks:
+        indices.extend(range(index_offset, index_offset + len(block) - 1, 2))
+        index_offset += len(block)
+    fractions = iter(uniforms(cfg.seed, indices, cfg.p_max))
+    results = []
+    for block in blocks:
+        out: List[BitextPair] = []
+        skipped = 0
+        for index in range(0, len(block) - 1, 2):
+            merged = augment_pair(block[index], block[index + 1], next(fractions))
+            if merged is None:
+                skipped += 1
+            else:
+                out.append(merged)
+        if len(block) % 2 == 1:
+            out.append(block[-1])
+        results.append(AugmentationResult(out, skipped))
+    return results
 
 
 def build_training_mixture(

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .align import project_boundaries, wer_counts
-from .augment import AugmentationConfig, BitextPair, MixtureSpec, augment_corpus, build_training_mixture
+from .augment import AugmentationConfig, BitextPair, MixtureSpec, augment_blocks, build_training_mixture
 from .bleu import BleuConfig, corpus_bleu
 from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
 from .evaluate import DEFAULT_BUCKET_BOUNDS, bucket_report, make_error_variants, score_documents
@@ -232,17 +232,10 @@ def cmd_augment(args) -> int:
         aug_cfg = AugmentationConfig(p_max=p_max, seed=seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    blocks = read_bitext(_input_path(args, cfg), origin=args.origin)
-    out_blocks = []
-    produced = skipped = 0
-    offset = 0
-    for block in blocks:
-        result = augment_corpus(block, aug_cfg, index_offset=offset)
-        offset += len(block)
-        out_blocks.append(result.pairs)
-        produced += len(result.pairs)
-        skipped += result.skipped
-    write_bitext(_output_path(args, cfg), out_blocks)
+    results = augment_blocks(read_bitext(_input_path(args, cfg), origin=args.origin), aug_cfg)
+    write_bitext(_output_path(args, cfg), [result.pairs for result in results])
+    produced = sum(len(result.pairs) for result in results)
+    skipped = sum(result.skipped for result in results)
     print(f"effective seed: {seed}")
     print(f"augmented {produced} pair(s), skipped {skipped}")
     return EXIT_OK

@@ -9,8 +9,11 @@ reproducible and independent of processing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .rng import make_rng
 from .text import SegmentedDocument, flatten, rebuild
@@ -25,6 +28,9 @@ class NoiseConfig:
     boundary_split_rate: float = 0.0
     vocabulary: Tuple[str, ...] = ()
     seed: Optional[int] = None  # unset: CLI falls back to the top-level seed; draws as 0
+    # Derived from ``vocabulary``: for each token, the number of other
+    # entries before each of its occurrences (see ``_substitute``).
+    _others_before: Dict[str, List[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = (
@@ -41,14 +47,27 @@ class NoiseConfig:
         # Small slack so rates like 0.3 + 0.3 + 0.4 pass despite float rounding.
         if total > 1 + 1e-9:
             raise ValueError("substitution + deletion + insertion rates must sum to <= 1")
+        others_before: Dict[str, List[int]] = {}
+        for position, token in enumerate(self.vocabulary):
+            occurrences = others_before.setdefault(token, [])
+            occurrences.append(position - len(occurrences))
+        object.__setattr__(self, "_others_before", others_before)
 
 
-def _substitute(token: str, vocabulary: Sequence[str], rng) -> str:
-    # Prefer a replacement different from the original so the edit is visible.
-    candidates = [v for v in vocabulary if v != token]
-    if not candidates:
-        candidates = list(vocabulary)
-    return candidates[int(rng.integers(len(candidates)))]
+def _substitute(token: str, cfg: NoiseConfig, rng) -> str:
+    """Draw a vocabulary entry other than ``token``, or any entry if all equal it.
+
+    Draws the k-th entry of ``[v for v in cfg.vocabulary if v != token]``
+    without building that list: it sits at position k + m, where m counts
+    the occurrences of ``token`` with fewer than k + 1 other entries before
+    them.
+    """
+    vocabulary = cfg.vocabulary
+    others_before = cfg._others_before.get(token, ())
+    if len(others_before) == len(vocabulary):
+        return vocabulary[int(rng.integers(len(vocabulary)))]
+    k = int(rng.integers(len(vocabulary) - len(others_before)))
+    return vocabulary[k + bisect_right(others_before, k)]
 
 
 def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocument:
@@ -68,7 +87,7 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
         for tok in seg:
             draw = rng.random()
             if draw < sub_cut:
-                out.append(_substitute(tok, cfg.vocabulary, rng))
+                out.append(_substitute(tok, cfg, rng))
             elif draw < del_cut:
                 pass
             else:
@@ -90,14 +109,8 @@ def corrupt_boundaries(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDoc
     tokens, boundaries = flatten(doc)
     if len(tokens) <= 1:
         return SegmentedDocument([list(seg) for seg in doc.segments], doc_id=doc.doc_id)
-    rng = make_rng(cfg.seed, "boundaries", doc.doc_id)
-    internal = set(boundaries.positions[:-1])
-    kept: List[int] = []
-    for gap in range(len(tokens) - 1):
-        draw = rng.random()
-        if gap in internal:
-            if draw >= cfg.boundary_merge_rate:
-                kept.append(gap)
-        elif draw < cfg.boundary_split_rate:
-            kept.append(gap)
-    return rebuild(tokens, kept, doc_id=doc.doc_id)
+    draws = make_rng(cfg.seed, "boundaries", doc.doc_id).random(len(tokens) - 1)
+    internal = np.zeros(len(draws), dtype=bool)
+    internal[list(boundaries.positions[:-1])] = True
+    kept = np.where(internal, draws >= cfg.boundary_merge_rate, draws < cfg.boundary_split_rate)
+    return rebuild(tokens, np.flatnonzero(kept).tolist(), doc_id=doc.doc_id)

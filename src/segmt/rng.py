@@ -6,16 +6,40 @@ derived from a base seed plus context values (a pair index, a document id)
 so that per-item randomness is independent of processing order.  String
 context is hashed with BLAKE2b, which is stable across platforms and runs,
 unlike Python's builtin ``hash``.
+
+``make_rng`` is the one definition of a stream.  ``uniforms`` batches the
+common case of one uniform draw per integer index: it runs SeedSequence's
+pool mixing, PCG64's seeding and its first output for all indices at once
+and returns, bit for bit, the values the ``make_rng`` streams would give.
+It relies on the stream stability numpy guarantees for SeedSequence and
+PCG64 (NEP 19); ``tests/test_rng.py::test_uniforms_equal_make_rng_draws``
+checks it against ``make_rng``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+import operator
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+# SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+# PCG64's 128-bit LCG multiplier; seeding and the first draw are three
+# steps state -> state * M + inc, folded here into M**2 and M + 1.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _MASK128
+_PCG_MULT_PLUS_1 = _PCG_MULT + 1
 
 
 def _entropy_value(value) -> int:
@@ -31,3 +55,79 @@ def make_rng(seed: Optional[int], *context) -> np.random.Generator:
     """A PCG64 generator for ``seed`` (None draws as 0) plus context (ints or strings)."""
     entropy = [_entropy_value(0 if seed is None else seed)] + [_entropy_value(c) for c in context]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:
+    # SeedSequence's hash constant runs through init * mult**k, whatever the
+    # data; each hash xors with one value and multiplies by the next.
+    const = init
+    while True:
+        following = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(following)
+        const = following
+
+
+def _hashmix(value: np.ndarray, constants: Iterator[Tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(seed: Optional[int]) -> List[int]:
+    # SeedSequence's split of an entropy integer: little-endian 32-bit words,
+    # and one zero word for 0.
+    value = _entropy_value(0 if seed is None else seed)
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
+def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[float]:
+    """``float(make_rng(seed, i).uniform(0.0, high))`` for every integer ``i``, in one pass.
+
+    The seed's words and the index's low and high words fill the 4-word
+    pool.  A zero high word mixes exactly like an absent one, because pool
+    words beyond the entropy are hashed as zeros, so every row has the same
+    width.
+    """
+    index_array = np.array([operator.index(i) & _MASK64 for i in indices], dtype=np.uint64)
+    count = len(index_array)
+    if not count:
+        return []
+    words = [np.full(count, word, dtype=np.uint32) for word in _seed_words(seed)]
+    words.append((index_array & np.uint64(_MASK32)).astype(np.uint32))
+    words.append((index_array >> np.uint64(32)).astype(np.uint32))
+    words += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+
+    # SeedSequence.mix_entropy: hash each word in, then mix every pair.
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+
+    # SeedSequence.generate_state(4, uint64): eight 32-bit words, read as
+    # little-endian 64-bit words s0..s3.
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    halves = [(state[2 * k] | (state[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
+
+    # PCG64 seeding with initstate (s0, s1) and initseq (s2, s3): state 0,
+    # inc = (initseq << 1) | 1, step, add initstate, step; then the first
+    # draw steps once more and emits XSL-RR.  next_double keeps 53 bits;
+    # uniform(0, high) is 0.0 + high * next_double.
+    mask128, mask64, mult_sq, mult_plus_1 = _MASK128, _MASK64, _PCG_MULT_SQ, _PCG_MULT_PLUS_1
+    out: List[float] = []
+    append = out.append
+    for s0, s1, s2, s3 in zip(*halves):
+        inc = ((s2 << 64 | s3) << 1 | 1) & mask128
+        pcg = ((inc + (s0 << 64 | s1)) * mult_sq + inc * mult_plus_1) & mask128
+        xored = ((pcg >> 64) ^ pcg) & mask64
+        rot = pcg >> 122
+        raw = ((xored >> rot) | (xored << (64 - rot))) & mask64
+        append(high * ((raw >> 11) * 2.0**-53))
+    return out

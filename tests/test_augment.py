@@ -6,6 +6,7 @@ from segmt.augment import (
     AugmentationConfig,
     BitextPair,
     MixtureSpec,
+    augment_blocks,
     augment_corpus,
     augment_pair,
     build_training_mixture,
@@ -99,6 +100,19 @@ def test_augment_corpus_chunked_offsets_match_whole():
         + augment_corpus(pairs[6:], cfg, index_offset=6).pairs
     )
     assert chunked == whole
+
+
+@pytest.mark.parametrize("index_offset", [0, 3, 2**40])
+def test_augment_blocks_match_augment_corpus_with_running_offsets(index_offset):
+    pairs = indexed_pairs(60, width=10)
+    blocks = [pairs[:1], pairs[1:3], pairs[3:8], [], pairs[8:60]]
+    cfg = AugmentationConfig(p_max=0.5, seed=12)
+    expected = []
+    offset = index_offset
+    for block in blocks:
+        expected.append(augment_corpus(block, cfg, index_offset=offset))
+        offset += len(block)
+    assert augment_blocks(blocks, cfg, index_offset) == expected
 
 
 def test_augment_corpus_output_structure():

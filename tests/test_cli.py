@@ -3,7 +3,9 @@ import json
 import numpy as np
 
 import segmt.align
+from segmt.augment import AugmentationConfig, augment_corpus
 from segmt.cli import main
+from segmt.formats import read_bitext, write_bitext
 from segmt.formats import write_transcripts
 from segmt.segment import TimedTranscript, TimedWord
 
@@ -210,6 +212,37 @@ def test_augment_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert main(["augment", src, "-o", str(out2), "--seed", "6"]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_augment_blocks_use_running_offsets(tmp_path, capsys):
+    # Blocks of 1, 2, 5 and 50 pairs; the odd ones end in a pass-through, so
+    # every later block starts at an odd pair index.
+    lines = []
+    index = 0
+    for size in (1, 2, 5, 50):
+        for _ in range(size):
+            lines.append(
+                " ".join(f"s{index}.{j}" for j in range(12))
+                + "\t"
+                + " ".join(f"t{index}.{j}" for j in range(9))
+                + "\n"
+            )
+            index += 1
+        lines.append("\n")
+    src = write_lines(tmp_path / "bi.tsv", "".join(lines))
+    out = tmp_path / "aug.tsv"
+    assert main(["augment", src, "-o", str(out), "--seed", "21", "--p-max", "0.6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "augmented 30 pair(s), skipped 0"
+
+    cfg = AugmentationConfig(p_max=0.6, seed=21)
+    expected_blocks = []
+    offset = 0
+    for block in read_bitext(src):
+        expected_blocks.append(augment_corpus(block, cfg, index_offset=offset).pairs)
+        offset += len(block)
+    expected = tmp_path / "expected.tsv"
+    write_bitext(expected, expected_blocks)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_section_seed_zero_beats_top_level_seed(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmt.evaluate import make_error_variants
-from segmt.noise import NoiseConfig, corrupt_boundaries, corrupt_tokens
-from segmt.text import SegmentedDocument
+from segmt.noise import NoiseConfig, _substitute, corrupt_boundaries, corrupt_tokens
+from segmt.rng import make_rng
+from segmt.text import SegmentedDocument, flatten, rebuild
 
 
 def make_doc(tokens=30, seg_len=5, doc_id="d"):
@@ -56,6 +58,39 @@ def test_insertions_come_from_vocabulary():
     assert len(extras) == len(out.tokens()) - 500
 
 
+def substitute_by_list(token, vocabulary, rng):
+    """Reference: build the candidate list and index it."""
+    candidates = [v for v in vocabulary if v != token]
+    if not candidates:
+        candidates = list(vocabulary)
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # A three-letter alphabet makes duplicates common; "d" never occurs.
+    vocabulary=st.lists(st.sampled_from("abc"), min_size=1, max_size=30),
+    token=st.sampled_from("abcd"),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_substitute_matches_candidate_list(vocabulary, token, seed):
+    cfg = NoiseConfig(vocabulary=tuple(vocabulary))
+    fast, slow = make_rng(seed), make_rng(seed)
+    for _ in range(5):
+        assert _substitute(token, cfg, fast) == substitute_by_list(token, cfg.vocabulary, slow)
+    assert fast.random() == slow.random()  # the same number of draws
+
+
+def test_substitute_falls_back_when_every_entry_is_the_token():
+    cfg = NoiseConfig(vocabulary=("a",) * 4)
+    assert _substitute("a", cfg, make_rng(1)) == "a"
+
+
+def test_noise_config_equality_ignores_derived_index():
+    assert NoiseConfig(vocabulary=("a", "b", "a")) == NoiseConfig(vocabulary=("a", "b", "a"))
+    assert hash(NoiseConfig(vocabulary=("a",))) == hash(NoiseConfig(vocabulary=("a",)))
+
+
 def test_corrupt_tokens_requires_vocabulary():
     doc = make_doc()
     with pytest.raises(ValueError):
@@ -88,6 +123,35 @@ def test_corrupt_boundaries_preserves_tokens():
         out = corrupt_boundaries(doc, cfg)
         assert out.tokens() == doc.tokens()
         assert all(seg for seg in out.segments)
+
+
+def corrupt_boundaries_by_gap(doc, cfg):
+    """Reference: one scalar draw per gap, in order."""
+    tokens, boundaries = flatten(doc)
+    if len(tokens) <= 1:
+        return SegmentedDocument([list(seg) for seg in doc.segments], doc_id=doc.doc_id)
+    rng = make_rng(cfg.seed, "boundaries", doc.doc_id)
+    internal = set(boundaries.positions[:-1])
+    kept = []
+    for gap in range(len(tokens) - 1):
+        draw = rng.random()
+        if gap in internal:
+            if draw >= cfg.boundary_merge_rate:
+                kept.append(gap)
+        elif draw < cfg.boundary_split_rate:
+            kept.append(gap)
+    return rebuild(tokens, kept, doc_id=doc.doc_id)
+
+
+@pytest.mark.parametrize("merge, split", [(0.4, 0.2), (0.0, 0.0), (1.0, 1.0), (0.5, 0.05)])
+def test_corrupt_boundaries_matches_scalar_draws(merge, split):
+    rng = np.random.default_rng(15)
+    cfg = NoiseConfig(boundary_merge_rate=merge, boundary_split_rate=split, seed=16)
+    for trial in range(40):
+        doc = make_doc(
+            tokens=int(rng.integers(1, 80)), seg_len=int(rng.integers(1, 9)), doc_id=f"d{trial}"
+        )
+        assert corrupt_boundaries(doc, cfg) == corrupt_boundaries_by_gap(doc, cfg)
 
 
 def test_single_token_document_unchanged():
