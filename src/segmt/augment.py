@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .rng import make_rng, uniforms
 
@@ -159,14 +159,18 @@ def augment_blocks(
     return results
 
 
+Item = TypeVar("Item")
+
+
 def build_training_mixture(
-    corpora: Dict[str, Tuple[Sequence[BitextPair], Sequence[BitextPair]]],
+    corpora: Dict[str, Tuple[Sequence[Item], Sequence[Item]]],
     spec: MixtureSpec,
     total: int,
-) -> List[BitextPair]:
+) -> List[Item]:
     """Sample ``total`` pairs with replacement according to the mixture spec.
 
-    ``corpora`` maps each label to its (originals, augmented) pools.  Each
+    ``corpora`` maps each label to its (originals, augmented) pools, whose
+    items may be ``BitextPair``s or anything else standing for a pair.  Each
     draw picks a corpus by weight, then the augmented pool with probability
     ``augmented_fraction`` (originals otherwise), then a uniform element.
     Fully determined by ``spec.seed``.
@@ -189,7 +193,7 @@ def build_training_mixture(
         cumulative.append((running, label))
 
     rng = make_rng(spec.seed, "mixture")
-    out: List[BitextPair] = []
+    out: List[Item] = []
     for _ in range(total):
         u = rng.random()
         label = labels[-1]  # guards against the cumulative sum rounding below 1

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .align import project_boundaries, wer_counts
-from .augment import AugmentationConfig, BitextPair, MixtureSpec, augment_blocks, build_training_mixture
+from .augment import AugmentationConfig, MixtureSpec, augment_blocks, build_training_mixture
 from .bleu import BleuConfig, corpus_bleu
 from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
 from .evaluate import DEFAULT_BUCKET_BOUNDS, bucket_report, make_error_variants, score_documents
@@ -31,10 +31,12 @@ from .formats import (
     bleu_record,
     bucket_records,
     read_bitext,
+    read_bitext_lines,
     read_documents,
     read_transcripts,
     wer_record,
     write_bitext,
+    write_bitext_lines,
     write_documents,
     write_records,
 )
@@ -251,30 +253,40 @@ def cmd_mix(args) -> int:
     )
     if args.total < 0:
         raise UsageError("--total must be >= 0")
-    corpora = {}
-    for label, original_path, augmented_path in args.corpus:
-        if label in corpora:
+    labels = set()
+    for label, _, _ in args.corpus:
+        if label in labels:
             raise UsageError(f"corpus {label!r} given twice")
-        originals = [pair for block in read_bitext(original_path, origin=label) for pair in block]
-        augmented = (
-            [pair for block in read_bitext(augmented_path, origin=label) for pair in block]
-            if augmented_path
-            else []
-        )
-        corpora[label] = (originals, augmented)
+        labels.add(label)
     weights = {}
     for label, weight in args.weight:
         if label in weights:
             raise UsageError(f"weight for {label!r} given twice")
+        if label not in labels:
+            raise UsageError(f"mixture references unknown corpus {label!r}")
         weights[label] = weight
     try:
         spec = MixtureSpec(corpus_weights=weights, augmented_fraction=fraction, seed=seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    # Pool items are (label, line): one file may feed several corpora.
+    lines_of = {}
+
+    def pool(label: str, path: Optional[str]) -> List[Tuple[str, str]]:
+        if path is None:
+            return []
+        if path not in lines_of:
+            lines_of[path] = read_bitext_lines(path)
+        return [(label, line) for line in lines_of[path]]
+
+    corpora = {
+        label: (pool(label, original_path), pool(label, augmented_path))
+        for label, original_path, augmented_path in args.corpus
+    }
     mixture = build_training_mixture(corpora, spec, args.total)
-    write_bitext(_output_path(args, cfg), [mixture])
+    write_bitext_lines(_output_path(args, cfg), (line for _, line in mixture))
     print(f"effective seed: {seed}")
-    counts = Counter(pair.origin for pair in mixture)
+    counts = Counter(label for label, _ in mixture)
     summary = ", ".join(f"{label}: {counts[label]}" for label in sorted(counts))
     print(f"drew {len(mixture)} pair(s) ({summary})" if mixture else "drew 0 pair(s)")
     return EXIT_OK

@@ -11,6 +11,9 @@ Timed transcripts
 Bitext
     Tab-separated ``source<TAB>target`` token lines; a blank line separates
     documents (adjacency within a document drives augmentation pairing).
+    ``mix`` never splits a side into tokens: it writes the lines of a
+    canonical file (ASCII, single spaces between tokens, no other
+    whitespace) unchanged and normalises the whitespace of any other line.
 
 Reports
     JSON Lines records with a ``"type"`` discriminator, plus human-readable
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .augment import BitextPair
 from .bleu import BleuReport
@@ -144,31 +147,81 @@ def write_transcripts(path: PathLike, transcripts: Sequence[TimedTranscript]) ->
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _bitext_sides(path: PathLike, lines: Iterable[str]) -> Iterator[Optional[List[str]]]:
+    """Validate bitext lines: None for a blank line, else its ``[source, target]`` strings.
+
+    A line of whitespace alone (tabs included) is blank.  Any other line
+    needs exactly one tab, with non-blank text before and after it.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) == 2 and fields[0].strip() and fields[1].strip():
+            yield fields
+        elif not line.strip():
+            yield None
+        elif len(fields) != 2:
+            raise ParseError(
+                path, lineno, f"expected 'source<TAB>target', got {len(fields)} fields"
+            )
+        else:
+            raise ParseError(path, lineno, "empty source or target side")
+
+
 @_utf8_located
 def read_bitext(path: PathLike, origin: str = "") -> List[List[BitextPair]]:
     """Read a bitext file as a list of documents (lists of pairs)."""
     blocks: List[List[BitextPair]] = []
     current: List[BitextPair] = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
+        for sides in _bitext_sides(path, handle):
+            if sides is None:
                 if current:
                     blocks.append(current)
                     current = []
                 continue
-            fields = stripped.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    path, lineno, f"expected 'source<TAB>target', got {len(fields)} fields"
-                )
-            source, target = fields[0].split(), fields[1].split()
-            if not source or not target:
-                raise ParseError(path, lineno, "empty source or target side")
-            current.append(BitextPair(source, target, origin=origin))
+            current.append(BitextPair(sides[0].split(), sides[1].split(), origin=origin))
     if current:
         blocks.append(current)
     return blocks
+
+
+def _is_canonical(text: str) -> bool:
+    """True when ``" ".join(side.split()) == side`` for every side in ``text``.
+
+    That holds for ASCII text whose only control characters are tab and
+    newline and whose every space stands between two printable characters,
+    so that no side has leading, trailing, doubled or other whitespace.
+    Decided in a few numpy passes over the bytes: substring scans for each
+    bad pair of characters cost about ten times as much.
+    """
+    if not text.isascii():
+        return False
+    import numpy as np
+
+    # The newlines around the text put a space at either end next to whitespace.
+    codes = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
+    if np.count_nonzero(codes < 32) != np.count_nonzero((codes == 9) | (codes == 10)):
+        return False  # another control character, such as \v, \f or \x1c
+    printable = codes > 32
+    return bool(np.all((printable[:-2] & printable[2:]) | (codes[1:-1] != 32)))
+
+
+@_utf8_located
+def read_bitext_lines(path: PathLike) -> List[str]:
+    """Every pair of a bitext file as one ``source<TAB>target`` line, documents flattened.
+
+    The lines are those :func:`write_bitext` writes for :func:`read_bitext`'s
+    pairs, built without tokens: a canonical file's lines come back as they
+    are, and any other file's sides have their whitespace normalised.  Both
+    readers validate lines alike and raise the same errors.
+    """
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    sides = _bitext_sides(path, lines)
+    if _is_canonical(text):
+        return [line for line, pair in zip(lines, sides) if pair]
+    return [" ".join(pair[0].split()) + "\t" + " ".join(pair[1].split()) for pair in sides if pair]
 
 
 def write_bitext(path: PathLike, blocks: Sequence[Sequence[BitextPair]]) -> None:
@@ -178,6 +231,12 @@ def write_bitext(path: PathLike, blocks: Sequence[Sequence[BitextPair]]) -> None
                 handle.write("\n")
             for pair in block:
                 handle.write(" ".join(pair.source) + "\t" + " ".join(pair.target) + "\n")
+
+
+def write_bitext_lines(path: PathLike, lines: Iterable[str]) -> None:
+    """Write ``source<TAB>target`` lines as one bitext document."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
 
 
 def bleu_record(report: BleuReport) -> Dict:

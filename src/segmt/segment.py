@@ -60,7 +60,7 @@ class TimedTranscript:
     def __post_init__(self):
         prev_start = 0.0
         for i, word in enumerate(self.words):
-            if not word.text or any(ch.isspace() for ch in word.text):
+            if word.text.split() != [word.text]:  # empty, or holds whitespace
                 raise ValueError(f"transcript {self.doc_id!r}: bad word text {word.text!r}")
             if word.end < word.start or word.start < 0:
                 raise ValueError(

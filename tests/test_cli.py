@@ -1,9 +1,11 @@
+import builtins
 import json
+from collections import Counter
 
 import numpy as np
 
 import segmt.align
-from segmt.augment import AugmentationConfig, augment_corpus
+from segmt.augment import AugmentationConfig, MixtureSpec, augment_corpus, build_training_mixture
 from segmt.cli import main
 from segmt.formats import read_bitext, write_bitext
 from segmt.formats import write_transcripts
@@ -323,6 +325,99 @@ def test_mix_bad_weights_usage_error(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_mix_unknown_weight_label_is_usage_error_before_reading(tmp_path, capsys):
+    code = main(
+        [
+            "mix",
+            "--corpus", f"x={tmp_path / 'missing.tsv'}",
+            "--weight", "y=1.0",
+            "--total", "1",
+            "-o", str(tmp_path / "out.tsv"),
+        ]
+    )
+    assert code == 1
+    assert "mixture references unknown corpus 'y'" in capsys.readouterr().err
+
+
+def tokenised_mix(corpora, weights, fraction, seed, total, out):
+    """Reference ``mix``: read pairs as tokens, draw them, write them back; returns stdout."""
+    pools = {
+        label: tuple(
+            [pair for block in read_bitext(path, origin=label) for pair in block] if path else []
+            for path in paths
+        )
+        for label, paths in corpora.items()
+    }
+    mixture = build_training_mixture(pools, MixtureSpec(weights, fraction, seed), total)
+    write_bitext(out, [mixture])
+    counts = Counter(pair.origin for pair in mixture)
+    summary = ", ".join(f"{label}: {counts[label]}" for label in sorted(counts))
+    return f"effective seed: {seed}\ndrew {len(mixture)} pair(s) ({summary})\n"
+
+
+def mix_args(corpora, weights, fraction, seed, total, out):
+    args = ["mix", "--augmented-fraction", str(fraction), "--total", str(total)]
+    args += ["--seed", str(seed), "-o", str(out)]
+    for label, (original, augmented) in corpora.items():
+        args += ["--corpus", f"{label}={original}" + (f":{augmented}" if augmented else "")]
+    for label, weight in weights.items():
+        args += ["--weight", f"{label}={weight}"]
+    return args
+
+
+def test_mix_reads_a_shared_path_once(tmp_path, capsys, monkeypatch):
+    a = write_lines(tmp_path / "a.tsv", "a1 p\tx1\na2\tx2 q\n\na3\tx3\n")
+    b = write_lines(tmp_path / "b.tsv", "b1\ty1\nb2\ty2\n")
+    shared = write_lines(tmp_path / "aug.tsv", "u1\tv1 w\nu2\tv2\n\nu3 t\tv3\n")
+    corpora = {"a": (a, shared), "b": (b, shared)}
+    weights = {"a": 0.6, "b": 0.4}
+    expected = tmp_path / "expected.tsv"
+    expected_stdout = tokenised_mix(corpora, weights, 0.5, 4, 80, expected)
+
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "mix.tsv"
+    code = main(mix_args(corpora, weights, 0.5, 4, 80, out))
+    monkeypatch.undo()
+    assert code == 0
+    assert opened[shared] == 1
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == expected_stdout
+
+
+def test_mix_normalises_messy_bitext_like_tokenised_path(tmp_path, capsys):
+    messy = tmp_path / "messy.tsv"
+    messy.write_bytes(
+        "a  b \tx\r\n c\t y  z\r\n\t\nd\u00a0e\tw\u2028v\n\x1cf\tg\x0bh\rk\tl\n".encode("utf-8")
+    )
+    clean = write_lines(tmp_path / "clean.tsv", "m n\to\np\tq r\n")
+    corpora = {"m": (str(messy), clean), "c": (clean, str(messy))}
+    weights = {"m": 0.8, "c": 0.2}
+    expected = tmp_path / "expected.tsv"
+    expected_stdout = tokenised_mix(corpora, weights, 0.25, 9, 60, expected)
+    out = tmp_path / "mix.tsv"
+    assert main(mix_args(corpora, weights, 0.25, 9, 60, out)) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == expected_stdout
+    assert {"a b\tx", "c\ty z", "d e\tw v", "f\tg h", "k\tl"} <= set(
+        out.read_text(encoding="utf-8").splitlines()
+    )
+
+
+def test_mix_invalid_utf8_names_line(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"a\tb\nc\t\xffd\n")
+    code = main(mix_args({"x": (str(bad), None)}, {"x": 1.0}, 0.0, 0, 1, tmp_path / "out.tsv"))
+    assert code == 2
+    assert f"{bad}:2: invalid UTF-8" in capsys.readouterr().err
 
 
 def test_simulate_identity_with_zero_rates(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmt.augment import BitextPair
 from segmt.bleu import BleuReport
@@ -10,10 +11,12 @@ from segmt.formats import (
     bleu_record,
     bucket_records,
     read_bitext,
+    read_bitext_lines,
     read_documents,
     read_transcripts,
     wer_record,
     write_bitext,
+    write_bitext_lines,
     write_documents,
     write_records,
     write_transcripts,
@@ -128,6 +131,62 @@ def test_bitext_origin_label(tmp_path):
     assert read_bitext(path, origin="wmt")[0][0].origin == "wmt"
 
 
+BITEXT_PIECES = ["a", "b", " ", "\t", "\n", "\r\n", "\r", "\u00a0", "\x1c", "\u2028"]
+
+
+def assert_bitext_readers_agree(path):
+    """``read_bitext_lines`` gives ``read_bitext``'s pairs as joined lines, or its error."""
+    try:
+        blocks = read_bitext(path)
+    except ParseError as err:
+        with pytest.raises(ParseError) as lines_err:
+            read_bitext_lines(path)
+        assert str(lines_err.value) == str(err)
+        return
+    expected = [" ".join(p.source) + "\t" + " ".join(p.target) for block in blocks for p in block]
+    assert read_bitext_lines(path) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(BITEXT_PIECES), max_size=30))
+def test_bitext_lines_reader_matches_tokenised_reader(tmp_path_factory, pieces):
+    path = tmp_path_factory.getbasetemp() / "differential.tsv"
+    path.write_bytes("".join(pieces).encode("utf-8"))
+    assert_bitext_readers_agree(path)
+
+
+# Files one character away from canonical, each with one pair line to normalise.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ab a\tb\n\nb\ta a\n",
+        "a \tb\n",
+        "a\t b\n",
+        "a\tb \n",
+        "a\tb\n b\ta\n",
+        " a\tb",
+        "a\tb ",
+        "a  b\ta",
+        "a\x1cb\ta",
+        "a\x0bb\ta",
+        "a\u00a0b\ta",
+        "a\u2028b\ta",
+        "a\tb\r\n\t\nb\ta",
+    ],
+)
+def test_bitext_lines_reader_near_canonical(tmp_path, text):
+    path = tmp_path / "bi.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_bitext_readers_agree(path)
+
+
+def test_bitext_lines_round_trip(tmp_path):
+    path = tmp_path / "bi.tsv"
+    write_bitext_lines(path, ["a b\tx", "c\ty z"])
+    assert path.read_text(encoding="utf-8") == "a b\tx\nc\ty z\n"
+    assert read_bitext_lines(path) == ["a b\tx", "c\ty z"]
+
+
 def test_report_records(tmp_path):
     report = BleuReport(50.0, [0.5, 0.25, 0.1, 0.05], 0.9, 100, 110)
     record = bleu_record(report)
@@ -182,3 +241,4 @@ def test_bitext_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "bi.tsv"
     path.write_bytes("a\tü\n".encode("utf-8") + b"b\t\xff\n")
     _assert_utf8_error_at_line_2(read_bitext, path)
+    _assert_utf8_error_at_line_2(read_bitext_lines, path)

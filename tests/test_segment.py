@@ -130,6 +130,13 @@ def test_timed_transcript_validation():
         TimedTranscript([TimedWord("", 0.0, 1.0)])
 
 
+@pytest.mark.parametrize("text", ["", " a", "a\n", "a b", "a\u00a0b", "\x1c"])
+def test_timed_transcript_rejects_word_with_whitespace(text):
+    with pytest.raises(ValueError) as err:
+        TimedTranscript([TimedWord("ok", 0.0, 0.5), TimedWord(text, 0.5, 1.0)], doc_id="d")
+    assert str(err.value) == f"transcript 'd': bad word text {text!r}"
+
+
 def test_pause_split_config_validation():
     with pytest.raises(ValueError):
         PauseSplitConfig(pause_threshold_sec=0.0)
