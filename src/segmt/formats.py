@@ -192,7 +192,7 @@ def _is_canonical(text: str) -> bool:
     newline and whose every space stands between two printable characters,
     so that no side has leading, trailing, doubled or other whitespace.
     Decided in a few numpy passes over the bytes: substring scans for each
-    bad pair of characters cost about ten times as much.
+    bad pair of characters cost about five times as much.
     """
     if not text.isascii():
         return False

@@ -155,7 +155,7 @@ def test_bitext_lines_reader_matches_tokenised_reader(tmp_path_factory, pieces):
     assert_bitext_readers_agree(path)
 
 
-# Files one character away from canonical, each with one pair line to normalise.
+# A canonical file, then files one character away from canonical, each with one line to normalise.
 @pytest.mark.parametrize(
     "text",
     [
