@@ -12,8 +12,9 @@ Bitext
     Tab-separated ``source<TAB>target`` token lines; a blank line separates
     documents (adjacency within a document drives augmentation pairing).
     ``mix`` never splits a side into tokens: it writes the lines of a
-    canonical file (ASCII, single spaces between tokens, no other
-    whitespace) unchanged and normalises the whitespace of any other line.
+    canonical file (one tab, single spaces between tokens, no other
+    whitespace; any script) unchanged and normalises the whitespace of any
+    other line.
 
 Reports
     JSON Lines records with a ``"type"`` discriminator, plus human-readable
@@ -185,21 +186,29 @@ def read_bitext(path: PathLike, origin: str = "") -> List[List[BitextPair]]:
     return blocks
 
 
+#: The characters beyond ASCII that ``str.split()`` splits on.
+_WIDE_SPACES = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
 def _is_canonical(text: str) -> bool:
     """True when ``" ".join(side.split()) == side`` for every side in ``text``.
 
-    That holds for ASCII text whose only control characters are tab and
-    newline and whose every space stands between two printable characters,
-    so that no side has leading, trailing, doubled or other whitespace.
-    Decided in a few numpy passes over the bytes: substring scans for each
-    bad pair of characters cost about five times as much.
+    That holds for text whose only whitespace is tab, newline and spaces
+    that each stand between two other characters, so that no side has
+    leading, trailing, doubled or other whitespace.  Past the one scan for
+    each wide space, decided in a few numpy passes over the UTF-8 bytes, in
+    which every byte of a non-ASCII character is 128 or more: substring
+    scans for each bad pair of characters cost about five times as much.
     """
-    if not text.isascii():
+    if not text.isascii() and any(space in text for space in _WIDE_SPACES):
         return False
     import numpy as np
 
     # The newlines around the text put a space at either end next to whitespace.
-    codes = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
+    codes = np.frombuffer(f"\n{text}\n".encode("utf-8"), dtype=np.uint8)
     if np.count_nonzero(codes < 32) != np.count_nonzero((codes == 9) | (codes == 10)):
         return False  # another control character, such as \v, \f or \x1c
     printable = codes > 32

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from segmt.bleu import BleuReport
 from segmt.evaluate import LengthBucket, LengthBucketReport
 from segmt.formats import (
     ParseError,
+    _WIDE_SPACES,
+    _is_canonical,
     bleu_record,
     bucket_records,
     read_bitext,
@@ -131,7 +134,7 @@ def test_bitext_origin_label(tmp_path):
     assert read_bitext(path, origin="wmt")[0][0].origin == "wmt"
 
 
-BITEXT_PIECES = ["a", "b", " ", "\t", "\n", "\r\n", "\r", "\u00a0", "\x1c", "\u2028"]
+BITEXT_PIECES = ["a", "b", " ", "\t", "\n", "\r\n", "\r", "\u00a0", "\x1c", "\u2028", "\u00fc", "\u3000"]
 
 
 def assert_bitext_readers_agree(path):
@@ -172,12 +175,39 @@ def test_bitext_lines_reader_matches_tokenised_reader(tmp_path_factory, pieces):
         "a\u00a0b\ta",
         "a\u2028b\ta",
         "a\tb\r\n\t\nb\ta",
+        "\u00fc a\tb\u2019\n\t\nb\ta\n",
+        "\u00fc  a\tb",
+        "\u00fc\tb\u3000",
+        "a\u205fb\t\u00fc",
+        "a\x85b\t\u2019",
     ],
 )
 def test_bitext_lines_reader_near_canonical(tmp_path, text):
     path = tmp_path / "bi.tsv"
     path.write_bytes(text.encode("utf-8"))
     assert_bitext_readers_agree(path)
+
+
+def test_wide_spaces_are_what_split_splits_on():
+    wide = map(chr, range(128, sys.maxunicode + 1))
+    splitters = {c for c in wide if len(f"a{c}a".split()) == 2}
+    assert set(_WIDE_SPACES) == splitters
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("ab a\tb\n\t\nb\ta\n", True),
+        ("\u00fc a\tb\n", True),
+        ("\u4e2d\u6587 \u2019a\tb \U0001f600\n", True),
+        ("\u00fc a\tb\u3000\n", False),
+        ("\u00fc\u00a0a\tb\n", False),
+        ("\u00fc a \tb\n", False),
+        ("\u00fc a\tb\x0c\n", False),
+    ],
+)
+def test_canonical_files_in_any_script(text, canonical):
+    assert _is_canonical(text) is canonical
 
 
 def test_bitext_lines_round_trip(tmp_path):
