@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SMOOTHING_NONE = "none"
 SMOOTHING_ADD_ONE = "add-one"
@@ -100,6 +101,8 @@ def pair_statistics(
     and the clipped matches of a pair are the sum of the smaller counts of
     its codes.
     """
+    import numpy as np
+
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}"

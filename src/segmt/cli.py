@@ -25,7 +25,13 @@ from .align import project_boundaries, wer_counts
 from .augment import AugmentationConfig, MixtureSpec, augment_blocks, build_training_mixture
 from .bleu import BleuConfig, corpus_bleu
 from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
-from .evaluate import DEFAULT_BUCKET_BOUNDS, bucket_report, make_error_variants, score_documents
+from .evaluate import (
+    DEFAULT_BUCKET_BOUNDS,
+    _validate_bounds,
+    bucket_report,
+    make_error_variants,
+    score_documents,
+)
 from .formats import (
     ParseError,
     bleu_record,
@@ -93,9 +99,9 @@ def _output_path(args, cfg: PipelineConfig) -> str:
     raise UsageError("no output file given (pass --output or set output_path in the config)")
 
 
-def _effective_seed(*candidates: Optional[int]) -> int:
-    """The first seed that is set (not None), in priority order; else 0."""
-    return next((seed for seed in candidates if seed is not None), 0)
+def _first_set(*values):
+    """The first value that is set (not None): flag, then config, then default."""
+    return next((value for value in values if value is not None), None)
 
 
 def _drop_empty(docs: Sequence[SegmentedDocument], action: str) -> List[SegmentedDocument]:
@@ -116,6 +122,10 @@ def _parse_bounds(text: str) -> Tuple[Tuple[int, int], ...]:
         raise argparse.ArgumentTypeError(
             f"expected LO:HI[,LO:HI...], got {text!r}"
         ) from err
+    try:
+        _validate_bounds(bounds)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err} in {text!r}") from err
     return tuple(bounds)
 
 
@@ -140,8 +150,7 @@ def _parse_weight(text: str) -> Tuple[str, float]:
 # ---------------------------------------------------------------- handlers
 
 
-def cmd_normalize(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_normalize(args, cfg: PipelineConfig) -> int:
     policy = _POLICIES[args.policy] if args.policy else cfg.normalization
     docs = read_documents(_input_path(args, cfg))
     normalized = [normalize_document(doc, policy) for doc in docs]
@@ -149,8 +158,7 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def cmd_segment_punct(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_segment_punct(args, cfg: PipelineConfig) -> int:
     docs = read_documents(_input_path(args, cfg))
     out = [
         break_on_punctuation(doc.tokens(), doc_id=doc.doc_id)
@@ -160,9 +168,8 @@ def cmd_segment_punct(args) -> int:
     return EXIT_OK
 
 
-def cmd_segment_fixed(args) -> int:
-    cfg = _pipeline_config(args)
-    length = args.n if args.n is not None else cfg.fixed_length
+def cmd_segment_fixed(args, cfg: PipelineConfig) -> int:
+    length = _first_set(args.n, cfg.fixed_length)
     if length < 1:
         raise UsageError("--n must be >= 1")
     docs = read_documents(_input_path(args, cfg))
@@ -171,14 +178,12 @@ def cmd_segment_fixed(args) -> int:
     return EXIT_OK
 
 
-def cmd_segment_pause(args) -> int:
-    cfg = _pipeline_config(args)
-    threshold = (
-        args.threshold if args.threshold is not None else cfg.pause_split.pause_threshold_sec
-    )
-    max_tokens = args.max_tokens if args.max_tokens is not None else cfg.pause_split.max_tokens
+def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
     try:
-        split_cfg = PauseSplitConfig(pause_threshold_sec=threshold, max_tokens=max_tokens)
+        split_cfg = PauseSplitConfig(
+            pause_threshold_sec=_first_set(args.threshold, cfg.pause_split.pause_threshold_sec),
+            max_tokens=_first_set(args.max_tokens, cfg.pause_split.max_tokens),
+        )
     except ValueError as err:
         raise UsageError(str(err)) from err
     transcripts = read_transcripts(_input_path(args, cfg))
@@ -187,8 +192,7 @@ def cmd_segment_pause(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_project(args, cfg: PipelineConfig) -> int:
     sources = read_documents(args.source)
     targets = read_documents(args.target)
     if len(sources) != len(targets):
@@ -204,8 +208,7 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def cmd_variants(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_variants(args, cfg: PipelineConfig) -> int:
     gold_docs = read_documents(args.gold)
     system_docs = read_documents(args.system)
     if len(gold_docs) != len(system_docs):
@@ -226,10 +229,9 @@ def cmd_variants(args) -> int:
     return EXIT_OK
 
 
-def cmd_augment(args) -> int:
-    cfg = _pipeline_config(args)
-    seed = _effective_seed(args.seed, cfg.augmentation.seed, cfg.seed)
-    p_max = args.p_max if args.p_max is not None else cfg.augmentation.p_max
+def cmd_augment(args, cfg: PipelineConfig) -> int:
+    seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed, 0)
+    p_max = _first_set(args.p_max, cfg.augmentation.p_max)
     try:
         aug_cfg = AugmentationConfig(p_max=p_max, seed=seed)
     except ValueError as err:
@@ -243,14 +245,9 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def cmd_mix(args) -> int:
-    cfg = _pipeline_config(args)
-    seed = _effective_seed(args.seed, cfg.seed)
-    fraction = (
-        args.augmented_fraction
-        if args.augmented_fraction is not None
-        else cfg.mixture_augmented_fraction
-    )
+def cmd_mix(args, cfg: PipelineConfig) -> int:
+    seed = _first_set(args.seed, cfg.seed, 0)
+    fraction = _first_set(args.augmented_fraction, cfg.mixture_augmented_fraction)
     if args.total < 0:
         raise UsageError("--total must be >= 0")
     labels = set()
@@ -293,12 +290,11 @@ def cmd_mix(args) -> int:
 
 
 def _bleu_config(args, cfg: PipelineConfig) -> BleuConfig:
-    max_order = args.max_order if args.max_order is not None else cfg.bleu.max_ngram_order
-    case_sensitive = False if args.case_insensitive else cfg.bleu.case_sensitive
-    smoothing = args.smoothing if args.smoothing else cfg.bleu.smoothing
     try:
         return BleuConfig(
-            max_ngram_order=max_order, case_sensitive=case_sensitive, smoothing=smoothing
+            max_ngram_order=_first_set(args.max_order, cfg.bleu.max_ngram_order),
+            case_sensitive=False if args.case_insensitive else cfg.bleu.case_sensitive,
+            smoothing=_first_set(args.smoothing, cfg.bleu.smoothing),
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -322,8 +318,7 @@ def _check_same_segmentation(hyp_docs, ref_docs) -> None:
         )
 
 
-def cmd_score(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_score(args, cfg: PipelineConfig) -> int:
     bleu_cfg = _bleu_config(args, cfg)
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
@@ -344,8 +339,7 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_wer(args) -> int:
-    cfg = _pipeline_config(args)
+def cmd_wer(args, cfg: PipelineConfig) -> int:
     ref_docs = read_documents(args.reference)
     hyp_docs = read_documents(args.hypothesis)
     if len(ref_docs) != len(hyp_docs):
@@ -364,9 +358,8 @@ def cmd_wer(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _pipeline_config(args)
-    seed = _effective_seed(args.seed, cfg.noise.seed, cfg.seed)
+def cmd_simulate(args, cfg: PipelineConfig) -> int:
+    seed = _first_set(args.seed, cfg.noise.seed, cfg.seed, 0)
     docs = read_documents(_input_path(args, cfg))
     if args.vocab:
         vocabulary = tuple(sorted(set(Path(args.vocab).read_text(encoding="utf-8").split())))
@@ -374,17 +367,13 @@ def cmd_simulate(args) -> int:
         vocabulary = cfg.noise.vocabulary
     else:
         vocabulary = tuple(sorted({tok for doc in docs for tok in doc.tokens()}))
-
-    def rate(flag_value, config_value):
-        return flag_value if flag_value is not None else config_value
-
     try:
         noise_cfg = NoiseConfig(
-            substitution_rate=rate(args.substitution_rate, cfg.noise.substitution_rate),
-            deletion_rate=rate(args.deletion_rate, cfg.noise.deletion_rate),
-            insertion_rate=rate(args.insertion_rate, cfg.noise.insertion_rate),
-            boundary_merge_rate=rate(args.merge_rate, cfg.noise.boundary_merge_rate),
-            boundary_split_rate=rate(args.split_rate, cfg.noise.boundary_split_rate),
+            substitution_rate=_first_set(args.substitution_rate, cfg.noise.substitution_rate),
+            deletion_rate=_first_set(args.deletion_rate, cfg.noise.deletion_rate),
+            insertion_rate=_first_set(args.insertion_rate, cfg.noise.insertion_rate),
+            boundary_merge_rate=_first_set(args.merge_rate, cfg.noise.boundary_merge_rate),
+            boundary_split_rate=_first_set(args.split_rate, cfg.noise.boundary_split_rate),
             vocabulary=vocabulary,
             seed=seed,
         )
@@ -396,9 +385,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = _pipeline_config(args)
-    bounds = args.bounds if args.bounds is not None else DEFAULT_BUCKET_BOUNDS
+def cmd_report(args, cfg: PipelineConfig) -> int:
+    bounds = _first_set(args.bounds, DEFAULT_BUCKET_BOUNDS)
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
     result = bucket_report(hyp_docs, ref_docs, bounds, align_cfg=cfg.alignment)
@@ -550,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, _pipeline_config(args))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

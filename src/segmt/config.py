@@ -12,9 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
-from .align import AlignmentConfig
+from .align import ALIGNMENT_NORMALIZATION, AlignmentConfig
 from .augment import AugmentationConfig
 from .bleu import BleuConfig
 from .noise import NoiseConfig
@@ -45,7 +43,13 @@ class PipelineConfig:
     output_path: Optional[str] = None
 
 
+def _alignment_config(**policy) -> AlignmentConfig:
+    """The ``alignment`` section sets NormalizationPolicy fields over the alignment default."""
+    return AlignmentConfig(normalize_for_alignment=replace(ALIGNMENT_NORMALIZATION, **policy))
+
+
 _SECTION_BUILDERS = {
+    "alignment": (_alignment_config, {"lowercase", "strip_punctuation", "strip_symbols"}),
     "normalization": (
         NormalizationPolicy,
         {"strip_punctuation", "lowercase", "strip_symbols"},
@@ -83,16 +87,10 @@ def _build_section(name: str, data: dict):
         raise ConfigError(f"invalid section {name!r}: {err}") from err
 
 
-def _build_alignment(data: dict) -> AlignmentConfig:
-    unknown = set(data) - {"lowercase", "strip_punctuation", "strip_symbols"}
-    if unknown:
-        raise ConfigError(f"unknown keys in section 'alignment': {sorted(unknown)}")
-    policy = replace(AlignmentConfig().normalize_for_alignment, **data)
-    return AlignmentConfig(normalize_for_alignment=policy)
-
-
 def load_config(path) -> PipelineConfig:
     """Load a PipelineConfig from a YAML file."""
+    import yaml
+
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as err:
@@ -102,7 +100,7 @@ def load_config(path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    known = _SCALAR_KEYS | set(_SECTION_BUILDERS) | {"alignment"}
+    known = _SCALAR_KEYS | set(_SECTION_BUILDERS)
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys: {sorted(unknown)}")
@@ -115,11 +113,6 @@ def load_config(path) -> PipelineConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: section {name!r} must be a mapping")
         kwargs[name] = _build_section(name, section)
-    if "alignment" in raw:
-        section = raw["alignment"] or {}
-        if not isinstance(section, dict):
-            raise ConfigError(f"{path}: section 'alignment' must be a mapping")
-        kwargs["alignment"] = _build_alignment(section)
     try:
         return PipelineConfig(**kwargs)
     except (TypeError, ValueError) as err:

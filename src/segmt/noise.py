@@ -13,8 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .rng import make_rng
 from .text import SegmentedDocument, flatten, rebuild
 
@@ -106,6 +104,8 @@ def corrupt_boundaries(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDoc
     non-boundary gap becomes a boundary with the split rate.  The final
     boundary is always preserved.
     """
+    import numpy as np
+
     tokens, boundaries = flatten(doc)
     if len(tokens) <= 1:
         return SegmentedDocument([list(seg) for seg in doc.segments], doc_id=doc.doc_id)

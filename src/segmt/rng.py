@@ -14,15 +14,18 @@ and returns, bit for bit, the values the ``make_rng`` streams would give.
 It relies on the stream stability numpy guarantees for SeedSequence and
 PCG64 (NEP 19); ``tests/test_rng.py::test_uniforms_equal_make_rng_draws``
 checks it against ``make_rng``.
+
+numpy is imported inside the functions that use it, so importing this
+module (and the CLI, for the subcommands that draw nothing) does not load it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import operator
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -33,7 +36,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
+_XSHIFT = 16  # a Python int: shifted uint32 arrays stay uint32
 
 # PCG64's 128-bit LCG multiplier; seeding and the first draw are three
 # steps state -> state * M + inc, folded here into M**2 and M + 1.
@@ -43,7 +46,11 @@ _PCG_MULT_PLUS_1 = _PCG_MULT + 1
 
 
 def _entropy_value(value) -> int:
+    import numpy as np
+
     if isinstance(value, str):
+        import hashlib
+
         digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
     if isinstance(value, (int, np.integer)):
@@ -53,6 +60,8 @@ def _entropy_value(value) -> int:
 
 def make_rng(seed: Optional[int], *context) -> np.random.Generator:
     """A PCG64 generator for ``seed`` (None draws as 0) plus context (ints or strings)."""
+    import numpy as np
+
     entropy = [_entropy_value(0 if seed is None else seed)] + [_entropy_value(c) for c in context]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -60,6 +69,8 @@ def make_rng(seed: Optional[int], *context) -> np.random.Generator:
 def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:
     # SeedSequence's hash constant runs through init * mult**k, whatever the
     # data; each hash xors with one value and multiplies by the next.
+    import numpy as np
+
     const = init
     while True:
         following = const * mult & _MASK32
@@ -74,6 +85,8 @@ def _hashmix(value: np.ndarray, constants: Iterator[Tuple[np.uint32, np.uint32]]
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return result ^ (result >> _XSHIFT)
 
@@ -93,6 +106,8 @@ def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[f
     words beyond the entropy are hashed as zeros, so every row has the same
     width.
     """
+    import numpy as np
+
     index_array = np.array([operator.index(i) & _MASK64 for i in indices], dtype=np.uint64)
     count = len(index_array)
     if not count:

@@ -1,8 +1,13 @@
 import builtins
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import segmt.align
 from segmt.augment import AugmentationConfig, MixtureSpec, augment_corpus, build_training_mixture
@@ -462,6 +467,21 @@ def test_report_malformed_bounds_usage_error(tmp_path, capsys):
     assert main(["report", hyp, hyp, "--bounds", "nope"]) == 1
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ("5:5", "empty bucket bounds (5, 5)"),
+        ("20:10", "empty bucket bounds (20, 10)"),
+        ("0:20,10:30", "bucket bounds must be disjoint and ordered"),
+    ],
+    ids=["empty", "reversed", "overlapping"],
+)
+def test_report_invalid_bounds_usage_error_before_reading(tmp_path, capsys, bounds, message):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["report", missing, missing, "--bounds", bounds]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("fixed_length: 2\n", encoding="utf-8")
@@ -550,3 +570,106 @@ def test_help_exits_zero(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "segmt" in capsys.readouterr().out
+
+
+# ------------------------------------------------- start-up in a fresh process
+
+# Prints which heavy third-party modules the process has loaded.
+_LOADED = 'print("loaded:", *(m for m in ("numpy", "yaml") if m in sys.modules))'
+
+
+def run_fresh(cwd, *lines):
+    """Run ``lines`` as a script in a fresh interpreter without SEGMT_CONFIG."""
+    env = {key: value for key, value in os.environ.items() if key != "SEGMT_CONFIG"}
+    src = str(Path(segmt.align.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "\n".join(("import sys",) + lines)
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+
+
+def loaded_after(cwd, *lines):
+    result = run_fresh(cwd, *lines, _LOADED)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()[1:]
+
+
+def write_startup_fixture(tmp_path):
+    write_lines(tmp_path / "ref.txt", "It rained. We left.\nthe weather today was warm\n")
+    write_lines(tmp_path / "hyp.txt", "it rained we\nleft the whether today was warm\n")
+    transcript = TimedTranscript(
+        [TimedWord("w1", 0.0, 0.5), TimedWord("w2", 2.0, 2.5)], doc_id="t0"
+    )
+    write_transcripts(tmp_path / "words.jsonl", [transcript])
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ("import segmt",),
+        ("import segmt.cli", "segmt.cli.build_parser()"),
+    ],
+    ids=["package", "parser"],
+)
+def test_import_loads_neither_numpy_nor_yaml(tmp_path, lines):
+    assert loaded_after(tmp_path, *lines) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["wer", "ref.txt", "hyp.txt"], []),
+        (["project", "ref.txt", "hyp.txt", "-o", "out.txt"], []),
+        (["variants", "ref.txt", "hyp.txt", "-d", "variants"], []),
+        (["normalize", "ref.txt", "-o", "out.txt"], []),
+        (["segment", "punct", "ref.txt", "-o", "out.txt"], []),
+        (["segment", "fixed", "ref.txt", "-o", "out.txt", "--n", "2"], []),
+        (["segment", "pause", "words.jsonl", "-o", "out.txt"], []),
+        # A command that counts n-grams does load numpy: the probe can see it.
+        (["score", "hyp.txt", "ref.txt", "--resegment"], ["numpy"]),
+    ],
+    ids=["wer", "project", "variants", "normalize", "punct", "fixed", "pause", "score"],
+)
+def test_subcommand_loads_only_what_it_uses(tmp_path, argv, loaded):
+    write_startup_fixture(tmp_path)
+    lines = ("from segmt.cli import main", f"assert main({argv!r}) == 0")
+    assert loaded_after(tmp_path, *lines) == loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augment", "bi.tsv", "--seed", "5", "--p-max", "0.6"],
+        ["simulate", "ref.txt", "--seed", "9", "--substitution-rate", "0.2",
+         "--insertion-rate", "0.1", "--merge-rate", "0.3", "--split-rate", "0.3"],
+    ],
+    ids=["augment", "simulate"],
+)
+def test_first_numpy_import_mid_call_gives_same_bytes(tmp_path, monkeypatch, argv):
+    write_startup_fixture(tmp_path)
+    write_lines(
+        tmp_path / "bi.tsv",
+        "".join(f"{' '.join(f's{i}.{j}' for j in range(12))}\t"
+                f"{' '.join(f't{i}.{j}' for j in range(9))}\n" for i in range(20)),
+    )
+    lines = (
+        "from segmt.cli import main",
+        "assert 'numpy' not in sys.modules",
+        f"assert main({argv + ['-o', 'fresh.out']!r}) == 0",
+    )
+    assert loaded_after(tmp_path, *lines) == ["numpy"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEGMT_CONFIG", raising=False)
+    assert main(argv + ["-o", "in_process.out"]) == 0
+    assert (tmp_path / "fresh.out").read_bytes() == (tmp_path / "in_process.out").read_bytes()
+
+
+def test_invalid_yaml_config_exit_code_in_fresh_process(tmp_path):
+    write_startup_fixture(tmp_path)
+    write_lines(tmp_path / "bad.yaml", "a: [unclosed\n")
+    argv = ["normalize", "ref.txt", "-o", "out.txt", "--config", "bad.yaml"]
+    result = run_fresh(tmp_path, "from segmt.cli import main", f"sys.exit(main({argv!r}))")
+    assert result.returncode == 2
+    assert "bad.yaml: invalid YAML" in result.stderr
