@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from .rng import make_rng, uniforms
+
+Item = TypeVar("Item")
 
 
 @dataclass
@@ -72,6 +74,8 @@ class MixtureSpec:
 
 
 def _truncation(p: float, length: int) -> int:
+    if p < 0:
+        raise ValueError("p must be non-negative")
     return math.ceil(p * length)
 
 
@@ -86,8 +90,6 @@ def augment_pair(first: BitextPair, second: BitextPair, p: float) -> Optional[Bi
     Returns None when either output side would be empty (cannot happen for
     valid non-empty inputs; kept as a guard for the contract).
     """
-    if p < 0:
-        raise ValueError("p must be non-negative")
     source = (
         first.source[_truncation(p, len(first.source)) :]
         + second.source[: _truncation(p, len(second.source))]
@@ -101,11 +103,24 @@ def augment_pair(first: BitextPair, second: BitextPair, p: float) -> Optional[Bi
     return BitextPair(source, target, origin=first.origin)
 
 
+def augment_line(first: str, second: str, p: float) -> str:
+    """:func:`augment_pair` on canonical lines: ``split(" ", k)`` cuts a side after k tokens."""
+    sides = []
+    for head, tail in zip(first.split("\t"), second.split("\t")):
+        length = head.count(" ") + 1
+        drop = _truncation(p, length)
+        kept = head.split(" ", drop)[drop] if drop < length else ""
+        take = _truncation(p, tail.count(" ") + 1)
+        taken = " ".join(tail.split(" ", take)[:take])
+        sides.append(f"{kept} {taken}" if kept and taken else kept or taken)
+    return "\t".join(sides)
+
+
 @dataclass
-class AugmentationResult:
+class AugmentationResult(Generic[Item]):
     """Augmented pairs plus a count of rejected (empty-sided) outputs."""
 
-    pairs: List[BitextPair]
+    pairs: List[Item]
     skipped: int = 0
 
 
@@ -128,15 +143,17 @@ def augment_corpus(
 
 
 def augment_blocks(
-    blocks: Sequence[Sequence[BitextPair]],
+    blocks: Sequence[Sequence[Item]],
     cfg: AugmentationConfig,
     index_offset: int = 0,
-) -> List[AugmentationResult]:
+    merge: Callable[[Item, Item, float], Optional[Item]] = augment_pair,
+) -> List[AugmentationResult[Item]]:
     """``augment_corpus`` of every block, each offset by the lengths of those before it.
 
     Block ``k`` gets the result of ``augment_corpus(blocks[k], cfg,
     index_offset + len(blocks[0]) + ... + len(blocks[k - 1]))``, but the
-    fractions of all blocks are drawn in one ``rng.uniforms`` call.
+    fractions of all blocks are drawn in one ``rng.uniforms`` call.  ``merge``
+    is :func:`augment_pair` for ``BitextPair``s or :func:`augment_line` for lines.
     """
     indices: List[int] = []
     for block in blocks:
@@ -145,10 +162,10 @@ def augment_blocks(
     fractions = iter(uniforms(cfg.seed, indices, cfg.p_max))
     results = []
     for block in blocks:
-        out: List[BitextPair] = []
+        out: List[Item] = []
         skipped = 0
         for index in range(0, len(block) - 1, 2):
-            merged = augment_pair(block[index], block[index + 1], next(fractions))
+            merged = merge(block[index], block[index + 1], next(fractions))
             if merged is None:
                 skipped += 1
             else:
@@ -157,9 +174,6 @@ def augment_blocks(
             out.append(block[-1])
         results.append(AugmentationResult(out, skipped))
     return results
-
-
-Item = TypeVar("Item")
 
 
 def build_training_mixture(

@@ -14,6 +14,7 @@ always win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections import Counter
@@ -22,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .align import project_boundaries, wer_counts
-from .augment import AugmentationConfig, MixtureSpec, augment_blocks, build_training_mixture
+from .augment import (AugmentationConfig, MixtureSpec, augment_blocks, augment_line,
+                      build_training_mixture)
 from .bleu import BleuConfig, corpus_bleu
 from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
 from .evaluate import (
@@ -36,12 +38,10 @@ from .formats import (
     ParseError,
     bleu_record,
     bucket_records,
-    read_bitext,
     read_bitext_lines,
     read_documents,
     read_transcripts,
     wer_record,
-    write_bitext,
     write_bitext_lines,
     write_documents,
     write_records,
@@ -236,8 +236,8 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
         aug_cfg = AugmentationConfig(p_max=p_max, seed=seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    results = augment_blocks(read_bitext(_input_path(args, cfg), origin=args.origin), aug_cfg)
-    write_bitext(_output_path(args, cfg), [result.pairs for result in results])
+    results = augment_blocks(read_bitext_lines(_input_path(args, cfg)), aug_cfg, merge=augment_line)
+    write_bitext_lines(_output_path(args, cfg), [result.pairs for result in results])
     produced = sum(len(result.pairs) for result in results)
     skipped = sum(result.skipped for result in results)
     print(f"effective seed: {seed}")
@@ -274,14 +274,14 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
             return []
         if path not in lines_of:
             lines_of[path] = read_bitext_lines(path)
-        return [(label, line) for line in lines_of[path]]
+        return [(label, line) for block in lines_of[path] for line in block]
 
     corpora = {
         label: (pool(label, original_path), pool(label, augmented_path))
         for label, original_path, augmented_path in args.corpus
     }
     mixture = build_training_mixture(corpora, spec, args.total)
-    write_bitext_lines(_output_path(args, cfg), (line for _, line in mixture))
+    write_bitext_lines(_output_path(args, cfg), [[line for _, line in mixture]])
     print(f"effective seed: {seed}")
     counts = Counter(label for label, _ in mixture)
     summary = ", ".join(f"{label}: {counts[label]}" for label in sorted(counts))
@@ -360,13 +360,6 @@ def cmd_wer(args, cfg: PipelineConfig) -> int:
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.noise.seed, cfg.seed, 0)
-    docs = read_documents(_input_path(args, cfg))
-    if args.vocab:
-        vocabulary = tuple(sorted(set(Path(args.vocab).read_text(encoding="utf-8").split())))
-    elif cfg.noise.vocabulary:
-        vocabulary = cfg.noise.vocabulary
-    else:
-        vocabulary = tuple(sorted({tok for doc in docs for tok in doc.tokens()}))
     try:
         noise_cfg = NoiseConfig(
             substitution_rate=_first_set(args.substitution_rate, cfg.noise.substitution_rate),
@@ -374,11 +367,18 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
             insertion_rate=_first_set(args.insertion_rate, cfg.noise.insertion_rate),
             boundary_merge_rate=_first_set(args.merge_rate, cfg.noise.boundary_merge_rate),
             boundary_split_rate=_first_set(args.split_rate, cfg.noise.boundary_split_rate),
-            vocabulary=vocabulary,
             seed=seed,
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
+    docs = read_documents(_input_path(args, cfg))
+    if args.vocab:
+        vocabulary = tuple(sorted(set(Path(args.vocab).read_text(encoding="utf-8").split())))
+    elif cfg.noise.vocabulary:
+        vocabulary = cfg.noise.vocabulary
+    else:
+        vocabulary = tuple(sorted({tok for doc in docs for tok in doc.tokens()}))
+    noise_cfg = dataclasses.replace(noise_cfg, vocabulary=vocabulary)
     corrupted = [corrupt_boundaries(corrupt_tokens(doc, noise_cfg), noise_cfg) for doc in docs]
     write_documents(_output_path(args, cfg), _drop_empty(corrupted, "corruption"))
     print(f"effective seed: {seed}")
@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="bitext file")
     p.add_argument("-o", "--output", help="output bitext file")
     p.add_argument("--p-max", type=float, help="truncation fraction cap")
-    p.add_argument("--origin", default="", help="corpus label for the output pairs")
     p.add_argument("--seed", type=int, help="random seed (default from config, else 0)")
     p.set_defaults(func=cmd_augment)
 

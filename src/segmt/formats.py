@@ -11,10 +11,10 @@ Timed transcripts
 Bitext
     Tab-separated ``source<TAB>target`` token lines; a blank line separates
     documents (adjacency within a document drives augmentation pairing).
-    ``mix`` never splits a side into tokens: it writes the lines of a
-    canonical file (one tab, single spaces between tokens, no other
-    whitespace; any script) unchanged and normalises the whitespace of any
-    other line.
+    ``augment`` and ``mix`` never split a side into tokens: they keep the
+    lines of a canonical file (one tab, single spaces between tokens, no
+    other whitespace; any script) unchanged and normalise the whitespace of
+    any other line.
 
 Reports
     JSON Lines records with a ``"type"`` discriminator, plus human-readable
@@ -216,8 +216,8 @@ def _is_canonical(text: str) -> bool:
 
 
 @_utf8_located
-def read_bitext_lines(path: PathLike) -> List[str]:
-    """Every pair of a bitext file as one ``source<TAB>target`` line, documents flattened.
+def read_bitext_lines(path: PathLike) -> List[List[str]]:
+    """A bitext file as documents of ``source<TAB>target`` lines, one per pair.
 
     The lines are those :func:`write_bitext` writes for :func:`read_bitext`'s
     pairs, built without tokens: a canonical file's lines come back as they
@@ -227,10 +227,14 @@ def read_bitext_lines(path: PathLike) -> List[str]:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     lines = text.split("\n")
-    sides = _bitext_sides(path, lines)
-    if _is_canonical(text):
-        return [line for line, pair in zip(lines, sides) if pair]
-    return [" ".join(pair[0].split()) + "\t" + " ".join(pair[1].split()) for pair in sides if pair]
+    canonical = _is_canonical(text)
+    blocks: List[List[str]] = [[]]
+    for line, sides in zip(lines, _bitext_sides(path, lines)):
+        if sides is not None:
+            blocks[-1].append(line if canonical else "\t".join(" ".join(s.split()) for s in sides))
+        elif blocks[-1]:
+            blocks.append([])
+    return [block for block in blocks if block]
 
 
 def write_bitext(path: PathLike, blocks: Sequence[Sequence[BitextPair]]) -> None:
@@ -242,10 +246,13 @@ def write_bitext(path: PathLike, blocks: Sequence[Sequence[BitextPair]]) -> None
                 handle.write(" ".join(pair.source) + "\t" + " ".join(pair.target) + "\n")
 
 
-def write_bitext_lines(path: PathLike, lines: Iterable[str]) -> None:
-    """Write ``source<TAB>target`` lines as one bitext document."""
+def write_bitext_lines(path: PathLike, blocks: Iterable[Sequence[str]]) -> None:
+    """Write documents of ``source<TAB>target`` lines, a blank line between documents."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(line + "\n" for line in lines)
+        for i, block in enumerate(blocks):
+            if i:
+                handle.write("\n")
+            handle.writelines(line + "\n" for line in block)
 
 
 def bleu_record(report: BleuReport) -> Dict:

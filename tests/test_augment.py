@@ -8,6 +8,7 @@ from segmt.augment import (
     MixtureSpec,
     augment_blocks,
     augment_corpus,
+    augment_line,
     augment_pair,
     build_training_mixture,
 )
@@ -56,6 +57,29 @@ def test_augment_pair_ceiling():
 def test_augment_pair_rejects_negative_p():
     with pytest.raises(ValueError):
         augment_pair(pair(["a"], ["b"]), pair(["c"], ["d"]), -0.1)
+    with pytest.raises(ValueError):
+        augment_line("a\tb", "c\td", -0.1)
+
+
+def as_line(bitext_pair):
+    return " ".join(bitext_pair.source) + "\t" + " ".join(bitext_pair.target)
+
+
+# Sides of 1, 2, 3, 7 and 10 tokens, with non-ASCII tokens, on either side of the merge.
+LINE_SIDES = [["a"], ["\u00fc", "b"], ["x", "\u4e2d\u6587", "y"], [f"s{i}" for i in range(7)],
+              [f"t{i}\u2019" for i in range(10)]]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0)])
+def test_augment_line_matches_augment_pair(p):
+    for first_source in LINE_SIDES:
+        for second_source in LINE_SIDES:
+            for first_target, second_target in [(["t"], LINE_SIDES[-1]), (LINE_SIDES[3], ["u"])]:
+                first = pair(first_source, first_target)
+                second = pair(second_source, second_target)
+                assert augment_line(as_line(first), as_line(second), p) == as_line(
+                    augment_pair(first, second, p)
+                )
 
 
 def test_augment_pair_full_truncation_keeps_sides_non_empty():

@@ -1,4 +1,6 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import segmt.align
-from segmt.augment import AugmentationConfig, MixtureSpec, augment_corpus, build_training_mixture
+from segmt.augment import (
+    AugmentationConfig,
+    BitextPair,
+    MixtureSpec,
+    augment_blocks,
+    augment_corpus,
+    build_training_mixture,
+)
 from segmt.cli import main
 from segmt.formats import read_bitext, write_bitext
 from segmt.formats import write_transcripts
@@ -252,6 +262,76 @@ def test_augment_blocks_use_running_offsets(tmp_path, capsys):
     assert out.read_bytes() == expected.read_bytes()
 
 
+TOKENS = ["a", "bc", "\u00fc", "\u4e2d\u6587", "x\u2019", "s1.2"]
+
+
+@st.composite
+def bitext_files(draw):
+    """Bitext text in blocks of 1-7 pairs, canonical or with irregular whitespace."""
+    canonical = draw(st.booleans())
+    gap = st.just(" ") if canonical else st.sampled_from([" ", "  ", "\u00a0", " \u3000"])
+    pad = st.just("") if canonical else st.sampled_from(["", " ", "  ", "\u00a0"])
+    end = st.just("\n") if canonical else st.sampled_from(["\n", "\r\n"])
+    blank = st.sampled_from(["\n", "\t\n", "\t\t\n"] + ([] if canonical else ["\r\n", " \n"]))
+
+    def side():
+        tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6))
+        text = tokens[0]
+        for token in tokens[1:]:
+            text += draw(gap) + token
+        return draw(pad) + text + draw(pad)
+
+    text = "".join(draw(st.lists(blank, max_size=2)))
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 7))):
+            text += side() + "\t" + side() + draw(end)
+        text += "".join(draw(st.lists(blank, min_size=1, max_size=3)))
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=bitext_files(),
+    p_max=st.sampled_from([0.01, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_augment_matches_tokenised_oracle(tmp_path_factory, text, p_max, seed):
+    """``segmt augment`` writes what augment_pair over read_bitext's pairs gives."""
+    work = tmp_path_factory.getbasetemp()
+    src, out, expected = work / "oracle_in.tsv", work / "oracle_out.tsv", work / "oracle.tsv"
+    src.write_bytes(text.encode("utf-8"))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        argv = ["augment", str(src), "-o", str(out), "--seed", str(seed), "--p-max", str(p_max)]
+        assert main(argv) == 0
+
+    results = augment_blocks(read_bitext(src), AugmentationConfig(p_max=p_max, seed=seed))
+    write_bitext(expected, [result.pairs for result in results])
+    produced = sum(len(result.pairs) for result in results)
+    skipped = sum(result.skipped for result in results)
+    assert out.read_bytes() == expected.read_bytes()
+    assert stdout.getvalue() == (
+        f"effective seed: {seed}\naugmented {produced} pair(s), skipped {skipped}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["a b\tx\nc\ty z\n\nd\tw\n", "a  b\tx\r\nc\ty\u00a0z \n\t\nd\tw\n"],
+    ids=["canonical", "irregular"],
+)
+def test_augment_builds_no_token_pairs(tmp_path, monkeypatch, capsys, text):
+    def no_pairs(self):
+        raise AssertionError("augment built a BitextPair")
+
+    monkeypatch.setattr(BitextPair, "__post_init__", no_pairs)
+    src = tmp_path / "bi.tsv"
+    src.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "aug.tsv"
+    assert main(["augment", str(src), "-o", str(out), "--seed", "3", "--p-max", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "augmented 2 pair(s), skipped 0"
+    assert out.read_text(encoding="utf-8").count("\n\n") == 1
+
+
 def test_section_seed_zero_beats_top_level_seed(tmp_path, capsys):
     # An explicit section seed of 0 is set, not missing: top-level seed 7 must not replace it.
     def side(prefix):
@@ -431,6 +511,13 @@ def test_simulate_identity_with_zero_rates(tmp_path, capsys):
     assert main(["simulate", src, "-o", str(out), "--seed", "3"]) == 0
     assert out.read_text(encoding="utf-8") == "a b c\nd e\n"
     assert "effective seed: 3" in capsys.readouterr().out
+
+
+def test_simulate_checks_rates_before_reading(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code = main(["simulate", str(missing), "--substitution-rate", "2", "-o", str(tmp_path / "o.txt")])
+    assert code == 1
+    assert "rates must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(tmp_path):

@@ -138,7 +138,7 @@ BITEXT_PIECES = ["a", "b", " ", "\t", "\n", "\r\n", "\r", "\u00a0", "\x1c", "\u2
 
 
 def assert_bitext_readers_agree(path):
-    """``read_bitext_lines`` gives ``read_bitext``'s pairs as joined lines, or its error."""
+    """``read_bitext_lines`` gives ``read_bitext``'s documents as joined lines, or its error."""
     try:
         blocks = read_bitext(path)
     except ParseError as err:
@@ -146,7 +146,7 @@ def assert_bitext_readers_agree(path):
             read_bitext_lines(path)
         assert str(lines_err.value) == str(err)
         return
-    expected = [" ".join(p.source) + "\t" + " ".join(p.target) for block in blocks for p in block]
+    expected = [[" ".join(p.source) + "\t" + " ".join(p.target) for p in block] for block in blocks]
     assert read_bitext_lines(path) == expected
 
 
@@ -212,9 +212,9 @@ def test_canonical_files_in_any_script(text, canonical):
 
 def test_bitext_lines_round_trip(tmp_path):
     path = tmp_path / "bi.tsv"
-    write_bitext_lines(path, ["a b\tx", "c\ty z"])
-    assert path.read_text(encoding="utf-8") == "a b\tx\nc\ty z\n"
-    assert read_bitext_lines(path) == ["a b\tx", "c\ty z"]
+    write_bitext_lines(path, [["a b\tx", "c\ty z"], ["d\tw"]])
+    assert path.read_text(encoding="utf-8") == "a b\tx\nc\ty z\n\nd\tw\n"
+    assert read_bitext_lines(path) == [["a b\tx", "c\ty z"], ["d\tw"]]
 
 
 def test_report_records(tmp_path):
