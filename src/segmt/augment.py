@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from .rng import make_rng, uniforms
+from .rng import Stream, make_rng, uniforms
 
 Item = TypeVar("Item")
 
@@ -206,7 +206,7 @@ def build_training_mixture(
         running += spec.corpus_weights[label]
         cumulative.append((running, label))
 
-    rng = make_rng(spec.seed, "mixture")
+    rng = Stream(make_rng(spec.seed, "mixture"))
     out: List[Item] = []
     for _ in range(total):
         u = rng.random()
@@ -217,5 +217,5 @@ def build_training_mixture(
                 break
         originals, augmented = corpora[label]
         pool = augmented if rng.random() < spec.augmented_fraction else originals
-        out.append(pool[int(rng.integers(len(pool)))])
+        out.append(pool[rng.integers(len(pool))])
     return out

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .rng import make_rng
+from .rng import Stream, make_rng
 from .text import SegmentedDocument, flatten, rebuild
 
 
@@ -63,8 +63,8 @@ def _substitute(token: str, cfg: NoiseConfig, rng) -> str:
     vocabulary = cfg.vocabulary
     others_before = cfg._others_before.get(token, ())
     if len(others_before) == len(vocabulary):
-        return vocabulary[int(rng.integers(len(vocabulary)))]
-    k = int(rng.integers(len(vocabulary) - len(others_before)))
+        return vocabulary[rng.integers(len(vocabulary))]
+    k = rng.integers(len(vocabulary) - len(others_before))
     return vocabulary[k + bisect_right(others_before, k)]
 
 
@@ -76,7 +76,7 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
     """
     if (cfg.substitution_rate > 0 or cfg.insertion_rate > 0) and not cfg.vocabulary:
         raise ValueError("substitution/insertion need a non-empty vocabulary")
-    rng = make_rng(cfg.seed, "tokens", doc.doc_id)
+    rng = Stream(make_rng(cfg.seed, "tokens", doc.doc_id))
     sub_cut = cfg.substitution_rate
     del_cut = cfg.substitution_rate + cfg.deletion_rate
     segments: List[List[str]] = []
@@ -91,7 +91,7 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
             else:
                 out.append(tok)
             if cfg.insertion_rate > 0 and rng.random() < cfg.insertion_rate:
-                out.append(cfg.vocabulary[int(rng.integers(len(cfg.vocabulary)))])
+                out.append(cfg.vocabulary[rng.integers(len(cfg.vocabulary))])
         if out:
             segments.append(out)
     return SegmentedDocument(segments, doc_id=doc.doc_id)

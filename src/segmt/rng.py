@@ -15,6 +15,13 @@ It relies on the stream stability numpy guarantees for SeedSequence and
 PCG64 (NEP 19); ``tests/test_rng.py::test_uniforms_equal_make_rng_draws``
 checks it against ``make_rng``.
 
+``Stream`` serves the scalar ``random()`` and ``integers(n)`` draws of a
+``make_rng`` generator from bulk ``random_raw`` output, bit for bit, without
+one numpy call per draw.  It replays numpy's scalar ``integers`` algorithm
+(PCG64's buffered 32-bit halves and Lemire's rejection), which NEP 19 does
+not freeze; ``tests/test_rng.py::test_stream_equals_generator_draws`` is the
+guard against a numpy release that changes it.
+
 numpy is imported inside the functions that use it, so importing this
 module (and the CLI, for the subcommands that draw nothing) does not load it.
 """
@@ -22,7 +29,7 @@ module (and the CLI, for the subcommands that draw nothing) does not load it.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,6 +37,8 @@ if TYPE_CHECKING:
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_DOUBLE_UNIT = 2.0**-53
+_INTEGERS_MAX = 1 << 63  # integers(n) draws int64, so n - 1 must fit
 
 # SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4.
 _POOL_SIZE = 4
@@ -64,6 +73,69 @@ def make_rng(seed: Optional[int], *context) -> np.random.Generator:
 
     entropy = [_entropy_value(0 if seed is None else seed)] + [_entropy_value(c) for c in context]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _raw_outputs(bit_generator, block: int) -> Iterator[int]:
+    while True:
+        yield from bit_generator.random_raw(block).tolist()
+
+
+class Stream:
+    """The scalar ``random()`` and ``integers(n)`` draws of ``generator``, fetched in bulk.
+
+    Each method returns, bit for bit, what the same call on the generator
+    would (``integers`` as a Python int), but reads PCG64 outputs ``block``
+    at a time through ``bit_generator.random_raw`` (a small ``block`` lets
+    tests cross refills often).  The stream takes the generator over: draw
+    from one or the other, not both.
+    """
+
+    def __init__(self, generator: np.random.Generator, block: int = 1024):
+        bit_generator = generator.bit_generator
+        state = bit_generator.state
+        # PCG64 serves 32-bit draws in pairs: the low half of a fresh output,
+        # then its high half, kept here until taken (None when empty).
+        self._half: Optional[int] = state["uinteger"] if state["has_uint32"] else None
+        self._next64: Callable[[], int] = _raw_outputs(bit_generator, block).__next__
+
+    def random(self) -> float:
+        """``generator.random()``: the top 53 bits of one output, scaled to [0, 1)."""
+        return (self._next64() >> 11) * _DOUBLE_UNIT
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = self._next64()
+        self._half = raw >> 32
+        return raw & _MASK32
+
+    def integers(self, n: int) -> int:
+        """``int(generator.integers(n))``: uniform on [0, n) by numpy's scalar algorithm.
+
+        ``n == 1`` draws nothing.  Up to 2**32 one 32-bit half is scaled by
+        ``n`` and redrawn while the low word of the product is below
+        ``(2**32 - n) % n`` (Lemire), so 2**32 takes the half as it is.
+        Above that the same rejection runs on whole 64-bit outputs.
+        """
+        if not 1 <= n <= _INTEGERS_MAX:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**63, got {n}")
+        if n == 1:
+            return 0
+        if n <= 1 << 32:
+            scaled = self._next32() * n
+            if scaled & _MASK32 < n:  # the threshold is below n: most draws skip the modulo
+                threshold = ((1 << 32) - n) % n
+                while scaled & _MASK32 < threshold:
+                    scaled = self._next32() * n
+            return scaled >> 32
+        scaled = self._next64() * n
+        if scaled & _MASK64 < n:
+            threshold = ((1 << 64) - n) % n
+            while scaled & _MASK64 < threshold:
+                scaled = self._next64() * n
+        return scaled >> 64
 
 
 def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:

@@ -1,6 +1,8 @@
 import math
 
+import draw_oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmt.augment import (
     AugmentationConfig,
@@ -216,3 +218,32 @@ def test_mixture_empty_pools_rejected():
 def test_mixture_zero_total():
     spec = MixtureSpec(corpus_weights={"A": 1.0}, augmented_fraction=0.0)
     assert build_training_mixture({"A": (indexed_pairs(2), [])}, spec, 0) == []
+
+
+@st.composite
+def mixtures(draw):
+    """Corpora of 1-3 labels with pools of 1-4 items, weights summing to 1, and a spec."""
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    raw = draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)))
+    raw[0] = raw[0] or 1  # at least one positive weight
+    weights = {label: part / sum(raw) for label, part in zip(labels, raw)}
+    fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    corpora = {}
+    for label in labels:
+        originals = draw(st.integers(1, 4))  # a pool of one draws nothing for its index
+        augmented = draw(st.integers(0 if fraction == 0 else 1, 4))
+        corpora[label] = (
+            [(label, "original", i) for i in range(originals)],
+            [(label, "augmented", i) for i in range(augmented)],
+        )
+    spec = MixtureSpec(weights, fraction, draw(st.integers(0, 2**32)))
+    return corpora, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture=mixtures(), total=st.one_of(st.just(0), st.integers(1, 80)))
+def test_mixture_matches_per_draw_oracle(mixture, total):
+    corpora, spec = mixture
+    assert build_training_mixture(corpora, spec, total) == draw_oracle.build_training_mixture(
+        corpora, spec, total
+    )

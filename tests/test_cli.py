@@ -24,6 +24,7 @@ from segmt.augment import (
 from segmt.cli import main
 from segmt.formats import read_bitext, write_bitext
 from segmt.formats import write_transcripts
+from segmt.rng import make_rng
 from segmt.segment import TimedTranscript, TimedWord
 
 
@@ -426,6 +427,27 @@ def test_mix_unknown_weight_label_is_usage_error_before_reading(tmp_path, capsys
     assert "mixture references unknown corpus 'y'" in capsys.readouterr().err
 
 
+def test_mix_missing_augmented_path_is_usage_error_before_reading(tmp_path, capsys):
+    # The original path does not exist: the flags alone decide the error.
+    args = ["mix", "--corpus", f"a={tmp_path / 'missing.tsv'}", "--weight", "a=1.0"]
+    args += ["--total", "1", "-o", str(tmp_path / "out.tsv")]
+    assert main(args + ["--augmented-fraction", "0.3"]) == 1
+    assert "corpus 'a' has no augmented pairs but augmented_fraction > 0" in capsys.readouterr().err
+    # The config's default fraction (0.2) is above 0 too.
+    assert main(args) == 1
+    assert "has no augmented pairs" in capsys.readouterr().err
+    # With no augmented draws the missing original is read, and fails as input.
+    assert main(args + ["--augmented-fraction", "0"]) == 2
+
+
+def test_mix_empty_augmented_file_is_input_error(tmp_path, capsys):
+    bi = write_lines(tmp_path / "bi.tsv", "a\tb\n")
+    empty = write_lines(tmp_path / "empty.tsv", "")
+    code = main(mix_args({"a": (bi, empty)}, {"a": 1.0}, 0.3, 0, 1, tmp_path / "out.tsv"))
+    assert code == 2
+    assert "corpus 'a' has no augmented pairs but augmented_fraction > 0" in capsys.readouterr().err
+
+
 def tokenised_mix(corpora, weights, fraction, seed, total, out):
     """Reference ``mix``: read pairs as tokens, draw them, write them back; returns stdout."""
     pools = {
@@ -503,6 +525,42 @@ def test_mix_invalid_utf8_names_line(tmp_path, capsys):
     code = main(mix_args({"x": (str(bad), None)}, {"x": 1.0}, 0.0, 0, 1, tmp_path / "out.tsv"))
     assert code == 2
     assert f"{bad}:2: invalid UTF-8" in capsys.readouterr().err
+
+
+class ScalarDrawsRefused(np.random.Generator):
+    """A Generator whose scalar ``random()`` and every ``integers`` call fail."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("per-draw Generator.integers call")
+
+    def random(self, size=None, *args, **kwargs):
+        if size is None:
+            raise AssertionError("per-draw Generator.random call")
+        return super().random(size, *args, **kwargs)
+
+
+def test_simulate_and_mix_make_no_per_draw_numpy_calls(tmp_path, monkeypatch, capsys):
+    docs = write_lines(tmp_path / "in.txt", "a b c d e f\ng h i\n\nj k l m\n")
+    vocab = write_lines(tmp_path / "vocab.txt", "a x y y z\n")
+    bitext = write_lines(tmp_path / "bi.tsv", "a b\tx\nc\ty z\nd\tw\n")
+    augmented = write_lines(tmp_path / "aug.tsv", "e\tv\n")
+    rates = ["--substitution-rate", "0.4", "--deletion-rate", "0.1", "--insertion-rate", "0.3"]
+    rates += ["--merge-rate", "0.3", "--split-rate", "0.2", "--seed", "6"]
+
+    def run(tag):
+        sim, mix = tmp_path / f"sim_{tag}.txt", tmp_path / f"mix_{tag}.tsv"
+        assert main(["simulate", docs, "-o", str(sim), "--vocab", vocab] + rates) == 0
+        corpora = {"a": (bitext, augmented), "b": (augmented, bitext)}
+        assert main(mix_args(corpora, {"a": 0.6, "b": 0.4}, 0.3, 6, 50, mix)) == 0
+        return sim.read_bytes(), mix.read_bytes(), capsys.readouterr().out
+
+    expected = run("numpy")
+    monkeypatch.setattr(np.random, "Generator", ScalarDrawsRefused)
+    with pytest.raises(AssertionError):
+        make_rng(1).integers(3)
+    with pytest.raises(AssertionError):
+        make_rng(1).random()
+    assert run("patched") == expected
 
 
 def test_simulate_identity_with_zero_rates(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import draw_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,39 @@ def test_substitute_matches_candidate_list(vocabulary, token, seed):
     for _ in range(5):
         assert _substitute(token, cfg, fast) == substitute_by_list(token, cfg.vocabulary, slow)
     assert fast.random() == slow.random()  # the same number of draws
+
+
+# (substitution, deletion, insertion): the edges, then any rates that sum to <= 1.
+TOKEN_RATES = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.2, 0.0), (0.0, 0.0, 1.0), (0.2, 0.1, 0.5)]),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3).filter(lambda r: sum(r) <= 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segments=st.lists(
+        st.lists(st.sampled_from("abcde"), min_size=1, max_size=12), min_size=1, max_size=6
+    ),
+    vocabulary=st.one_of(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=12),  # duplicates common
+        st.integers(min_value=1, max_value=5).map(lambda k: ["a"] * k),  # one repeated token
+    ),
+    rates=TOKEN_RATES,
+    seed=st.integers(min_value=0, max_value=2**32),
+    doc_id=st.sampled_from(["", "d", "talk7"]),
+)
+def test_corrupt_tokens_matches_per_draw_oracle(segments, vocabulary, rates, seed, doc_id):
+    substitution, deletion, insertion = rates
+    cfg = NoiseConfig(
+        substitution_rate=substitution,
+        deletion_rate=deletion,
+        insertion_rate=insertion,
+        vocabulary=tuple(vocabulary),
+        seed=seed,
+    )
+    doc = SegmentedDocument(segments, doc_id=doc_id)
+    assert corrupt_tokens(doc, cfg) == draw_oracle.corrupt_tokens(doc, cfg)
 
 
 def test_substitute_falls_back_when_every_entry_is_the_token():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segmt.rng import make_rng, uniforms
+from segmt.rng import Stream, make_rng, uniforms
 
 EDGE_SEEDS = [None, 0, 1, -1, -(2**40) - 3, 2**32 - 1, 2**32, 2**33 + 9, 2**64 - 1, np.int64(11)]
 EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -45,3 +45,68 @@ def test_uniforms_empty_and_iterable_indices():
 def test_uniforms_rejects_non_integer_index():
     with pytest.raises(TypeError):
         uniforms(3, [1.5], 0.3)
+
+
+# integers(n) sizes: n == 1 draws nothing; 3 * 2**30 rejects about a quarter
+# of the 32-bit halves and 3 * 2**61 a quarter of the 64-bit outputs; 2**32
+# takes a half as it is; 3 * 2**62 is above numpy's int64 bound and raises.
+STREAM_SIZES = [1, 2, 3, 20000, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 3 * 2**62, 2**63]
+
+
+def draw(source, call):
+    """``random()`` for ``None``, else ``int(integers(call))``; "refused" on a ValueError."""
+    try:
+        return source.random() if call is None else int(source.integers(call))
+    except ValueError:
+        return "refused"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    block=st.one_of(st.integers(min_value=1, max_value=7), st.none()),
+    # Draws before the stream starts: an odd number of 3s and 20000s leaves
+    # PCG64's high half buffered.
+    warmup=st.lists(st.sampled_from([1, 3, 20000, 2**33]), max_size=3),
+    calls=st.lists(
+        st.one_of(
+            st.none(),  # random()
+            st.sampled_from(STREAM_SIZES),
+            st.integers(min_value=1, max_value=2**63),
+        ),
+        max_size=60,
+    ),
+)
+def test_stream_equals_generator_draws(seed, block, warmup, calls):
+    reference, source = make_rng(seed, "stream"), make_rng(seed, "stream")
+    for n in warmup:
+        reference.integers(n)
+        source.integers(n)
+    stream = Stream(source) if block is None else Stream(source, block)
+    assert [draw(stream, call) for call in calls] == [draw(reference, call) for call in calls]
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_stream_repeated_size_equals_generator(n):
+    reference, stream = make_rng(5, n), Stream(make_rng(5, n), 3)
+    assert [draw(stream, n) for _ in range(200)] == [draw(reference, n) for _ in range(200)]
+
+
+def test_stream_takes_buffered_high_half_first():
+    reference, source = make_rng(8), make_rng(8)
+    reference.integers(3)
+    source.integers(3)
+    assert source.bit_generator.state["has_uint32"]
+    stream = Stream(source, 1)
+    expected = [int(reference.integers(2**32)) for _ in range(5)]
+    assert [stream.integers(2**32) for _ in range(5)] == expected
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**63 + 1])
+def test_stream_refuses_sizes_numpy_refuses(n):
+    stream, reference = Stream(make_rng(4)), make_rng(4)
+    with pytest.raises(ValueError):
+        stream.integers(n)
+    with pytest.raises(ValueError):
+        reference.integers(n)
+    assert stream.random() == reference.random()  # a refused call draws nothing
