@@ -266,8 +266,9 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
         spec = MixtureSpec(corpus_weights=weights, augmented_fraction=fraction, seed=seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    for label, _, augmented_path in args.corpus:
-        if label in weights and augmented_path is None and spec.augmented_fraction > 0:
+    augmented_paths = {label: augmented_path for label, _, augmented_path in args.corpus}
+    for label in sorted(weights):  # the order build_training_mixture checks in
+        if augmented_paths[label] is None and spec.augmented_fraction > 0:
             raise UsageError(
                 f"corpus {label!r} has no augmented pairs but augmented_fraction > 0"
             )

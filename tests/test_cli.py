@@ -440,6 +440,14 @@ def test_mix_missing_augmented_path_is_usage_error_before_reading(tmp_path, caps
     assert main(args + ["--augmented-fraction", "0"]) == 2
 
 
+def test_mix_missing_augmented_paths_name_the_first_label_in_sorted_order(tmp_path, capsys):
+    # build_training_mixture checks corpora in sorted order; the early check names the same one.
+    args = ["mix", "--corpus", f"b={tmp_path / 'x.tsv'}", "--corpus", f"a={tmp_path / 'y.tsv'}"]
+    args += ["--weight", "b=0.5", "--weight", "a=0.5", "--augmented-fraction", "0.3"]
+    assert main(args + ["--total", "1", "-o", str(tmp_path / "out.tsv")]) == 1
+    assert "corpus 'a' has no augmented pairs" in capsys.readouterr().err
+
+
 def test_mix_empty_augmented_file_is_input_error(tmp_path, capsys):
     bi = write_lines(tmp_path / "bi.tsv", "a\tb\n")
     empty = write_lines(tmp_path / "empty.tsv", "")

@@ -1,7 +1,11 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segmt import rng
 from segmt.rng import Stream, make_rng, uniforms
 
 EDGE_SEEDS = [None, 0, 1, -1, -(2**40) - 3, 2**32 - 1, 2**32, 2**33 + 9, 2**64 - 1, np.int64(11)]
@@ -61,6 +65,13 @@ def draw(source, call):
         return "refused"
 
 
+def fetch_blocks(block):
+    """Make ``Stream`` fetch ``block`` outputs at a time; ``None`` keeps its growing blocks."""
+    if block is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(rng, _FIRST_BLOCK=block, _MAX_BLOCK=block)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -82,14 +93,22 @@ def test_stream_equals_generator_draws(seed, block, warmup, calls):
     for n in warmup:
         reference.integers(n)
         source.integers(n)
-    stream = Stream(source) if block is None else Stream(source, block)
-    assert [draw(stream, call) for call in calls] == [draw(reference, call) for call in calls]
+    with fetch_blocks(block):
+        stream = Stream(source)
+        drawn = [draw(stream, call) for call in calls]
+    assert drawn == [draw(reference, call) for call in calls]
 
 
+@pytest.mark.parametrize("block, count", [(None, 5000), (3, 200)])
 @pytest.mark.parametrize("n", STREAM_SIZES)
-def test_stream_repeated_size_equals_generator(n):
-    reference, stream = make_rng(5, n), Stream(make_rng(5, n), 3)
-    assert [draw(stream, n) for _ in range(200)] == [draw(reference, n) for _ in range(200)]
+def test_stream_repeated_size_equals_generator(n, block, count):
+    # 5000 draws from the growing blocks cross every doubling and several
+    # full-size refills.
+    reference = make_rng(5, n)
+    with fetch_blocks(block):
+        stream = Stream(make_rng(5, n))
+        drawn = [draw(stream, n) for _ in range(count)]
+    assert drawn == [draw(reference, n) for _ in range(count)]
 
 
 def test_stream_takes_buffered_high_half_first():
@@ -97,9 +116,10 @@ def test_stream_takes_buffered_high_half_first():
     reference.integers(3)
     source.integers(3)
     assert source.bit_generator.state["has_uint32"]
-    stream = Stream(source, 1)
-    expected = [int(reference.integers(2**32)) for _ in range(5)]
-    assert [stream.integers(2**32) for _ in range(5)] == expected
+    with fetch_blocks(1):
+        stream = Stream(source)
+        drawn = [stream.integers(2**32) for _ in range(5)]
+    assert drawn == [int(reference.integers(2**32)) for _ in range(5)]
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**63 + 1])
