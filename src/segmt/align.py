@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .text import (
+    InputError,
     NormalizationPolicy,
     STRIPPED,
     SegmentedDocument,
@@ -98,7 +99,7 @@ DEFAULT_CONFIG = AlignmentConfig()
 #: Size budget of one alignment in DP cells (tokens of a times tokens of b).
 #: The kept rows take three bits a cell: 30k x 30k tokens peak at 311 MiB, so
 #: this budget (about 45k x 45k) stays near 700 MiB.  A larger pair raises
-#: ``ValueError`` before any row is kept; ``edit_distance`` needs no budget.
+#: ``InputError`` before any row is kept; ``edit_distance`` needs no budget.
 MAX_ALIGN_CELLS = 2_000_000_000
 
 #: Compares tokens exactly as given (WER normalizes both sides beforehand).
@@ -153,7 +154,7 @@ def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     is D[i][j] == D[i-1][j-1], ``down`` bit j is D[i][j] == D[i-1][j] + 1 and
     ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_rows``)."""
     if len(a) * len(b) > MAX_ALIGN_CELLS:
-        raise ValueError(
+        raise InputError(
             f"alignment of {len(a)} x {len(b)} tokens exceeds the budget of "
             f"{MAX_ALIGN_CELLS} cells (MAX_ALIGN_CELLS)"
         )
@@ -217,7 +218,7 @@ def levenshtein_align(
     calls yield identical scripts.  The forward pass keeps three m-bit
     vectors per row of ``a`` (see ``_forward``), from which the backtrace
     reads every step's options in O(1) without materializing the cost table.
-    Raises ``ValueError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
+    Raises ``InputError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
     """
     forward = _forward(a, b, cfg.normalize_for_alignment)
     ops: List[EditOp] = []
@@ -262,7 +263,7 @@ def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
     """Word error rate: ``wer_counts`` errors over the normalized reference length."""
     errors, ref_len = wer_counts(reference, hypothesis)
     if not ref_len:
-        raise ValueError("WER is undefined: reference is empty after normalization")
+        raise InputError("WER is undefined: reference is empty after normalization")
     return errors / ref_len
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from .rng import Stream, make_rng, uniforms
+from .text import InputError
 
 Item = TypeVar("Item")
 
@@ -195,9 +196,9 @@ def build_training_mixture(
             raise ValueError(f"mixture references unknown corpus {label!r}")
         originals, augmented = corpora[label]
         if not originals:
-            raise ValueError(f"corpus {label!r} has no original pairs")
+            raise InputError(f"corpus {label!r} has no original pairs")
         if spec.augmented_fraction > 0 and not augmented:
-            raise ValueError(
+            raise InputError(
                 f"corpus {label!r} has no augmented pairs but augmented_fraction > 0"
             )
     cumulative = []

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, List, Sequence
 
+from .text import InputError
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -196,7 +198,7 @@ def corpus_bleu(
     stats = pair_statistics(hypotheses, references, cfg)
     ref_len = int(stats.ref_len.sum())
     if ref_len == 0:
-        raise ValueError("all reference segments are empty")
+        raise InputError("all reference segments are empty")
     return _finalise(
         stats.matched.sum(axis=0).tolist(),
         stats.total.sum(axis=0).tolist(),

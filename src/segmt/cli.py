@@ -26,7 +26,7 @@ from .align import project_boundaries, wer_counts
 from .augment import (AugmentationConfig, MixtureSpec, augment_blocks, augment_line,
                       build_training_mixture)
 from .bleu import BleuConfig, corpus_bleu
-from .config import ENV_CONFIG_PATH, ConfigError, PipelineConfig, load_config
+from .config import ENV_CONFIG_PATH, PipelineConfig, load_config
 from .evaluate import (
     DEFAULT_BUCKET_BOUNDS,
     _validate_bounds,
@@ -35,7 +35,6 @@ from .evaluate import (
     score_documents,
 )
 from .formats import (
-    ParseError,
     bleu_record,
     bucket_records,
     read_bitext_lines,
@@ -51,9 +50,11 @@ from .segment import PauseSplitConfig, break_on_punctuation, split_fixed_length,
 from .text import (
     PUNCTUATED,
     STRIPPED,
+    InputError,
     SegmentedDocument,
     flatten,
     normalize_document,
+    paired_documents,
 )
 
 EXIT_OK = 0
@@ -83,25 +84,26 @@ def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _input_path(args, cfg: PipelineConfig) -> str:
-    if args.input is not None:
-        return args.input
-    if cfg.input_path:
-        return cfg.input_path
-    raise UsageError("no input file given (pass a path or set input_path in the config)")
-
-
-def _output_path(args, cfg: PipelineConfig) -> str:
-    if args.output is not None:
-        return args.output
-    if cfg.output_path:
-        return cfg.output_path
-    raise UsageError("no output file given (pass --output or set output_path in the config)")
-
-
 def _first_set(*values):
     """The first value that is set (not None): flag, then config, then default."""
     return next((value for value in values if value is not None), None)
+
+
+def _path(args, cfg: PipelineConfig, kind: str) -> str:
+    """The ``kind`` ("input" or "output") file: its argument, else the config's ``<kind>_path``."""
+    path = _first_set(getattr(args, kind), getattr(cfg, f"{kind}_path") or None)
+    if path is None:
+        hint = "a path" if kind == "input" else "--output"
+        raise UsageError(f"no {kind} file given (pass {hint} or set {kind}_path in the config)")
+    return path
+
+
+def _configured(cls, **values):
+    """``cls(**values)``, with a value it refuses reported as a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def _drop_empty(docs: Sequence[SegmentedDocument], action: str) -> List[SegmentedDocument]:
@@ -152,19 +154,19 @@ def _parse_weight(text: str) -> Tuple[str, float]:
 
 def cmd_normalize(args, cfg: PipelineConfig) -> int:
     policy = _POLICIES[args.policy] if args.policy else cfg.normalization
-    docs = read_documents(_input_path(args, cfg))
+    docs = read_documents(_path(args, cfg, "input"))
     normalized = [normalize_document(doc, policy) for doc in docs]
-    write_documents(_output_path(args, cfg), _drop_empty(normalized, "normalization"))
+    write_documents(_path(args, cfg, "output"), _drop_empty(normalized, "normalization"))
     return EXIT_OK
 
 
 def cmd_segment_punct(args, cfg: PipelineConfig) -> int:
-    docs = read_documents(_input_path(args, cfg))
+    docs = read_documents(_path(args, cfg, "input"))
     out = [
         break_on_punctuation(doc.tokens(), doc_id=doc.doc_id)
         for doc in docs
     ]
-    write_documents(_output_path(args, cfg), out)
+    write_documents(_path(args, cfg, "output"), out)
     return EXIT_OK
 
 
@@ -172,53 +174,37 @@ def cmd_segment_fixed(args, cfg: PipelineConfig) -> int:
     length = _first_set(args.n, cfg.fixed_length)
     if length < 1:
         raise UsageError("--n must be >= 1")
-    docs = read_documents(_input_path(args, cfg))
+    docs = read_documents(_path(args, cfg, "input"))
     out = [split_fixed_length(doc.tokens(), length, doc_id=doc.doc_id) for doc in docs]
-    write_documents(_output_path(args, cfg), out)
+    write_documents(_path(args, cfg, "output"), out)
     return EXIT_OK
 
 
 def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
-    try:
-        split_cfg = PauseSplitConfig(
-            pause_threshold_sec=_first_set(args.threshold, cfg.pause_split.pause_threshold_sec),
-            max_tokens=_first_set(args.max_tokens, cfg.pause_split.max_tokens),
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    transcripts = read_transcripts(_input_path(args, cfg))
+    split_cfg = _configured(
+        PauseSplitConfig,
+        pause_threshold_sec=_first_set(args.threshold, cfg.pause_split.pause_threshold_sec),
+        max_tokens=_first_set(args.max_tokens, cfg.pause_split.max_tokens),
+    )
+    transcripts = read_transcripts(_path(args, cfg, "input"))
     out = [split_on_pauses(t, split_cfg) for t in transcripts]
-    write_documents(_output_path(args, cfg), _drop_empty(out, "pause splitting"))
+    write_documents(_path(args, cfg, "output"), _drop_empty(out, "pause splitting"))
     return EXIT_OK
 
 
 def cmd_project(args, cfg: PipelineConfig) -> int:
-    sources = read_documents(args.source)
-    targets = read_documents(args.target)
-    if len(sources) != len(targets):
-        raise ValueError(
-            f"document count mismatch: {len(sources)} source vs {len(targets)} target"
-        )
     out = []
-    for src, tgt in zip(sources, targets):
+    for src, tgt in paired_documents(read_documents(args.source), read_documents(args.target)):
         tokens, _ = flatten(tgt)
         projected = project_boundaries(src, tokens, cfg.alignment)
         out.append(SegmentedDocument(projected.segments, doc_id=tgt.doc_id))
-    write_documents(_output_path(args, cfg), out)
+    write_documents(_path(args, cfg, "output"), out)
     return EXIT_OK
 
 
 def cmd_variants(args, cfg: PipelineConfig) -> int:
-    gold_docs = read_documents(args.gold)
-    system_docs = read_documents(args.system)
-    if len(gold_docs) != len(system_docs):
-        raise ValueError(
-            f"document count mismatch: {len(gold_docs)} gold vs {len(system_docs)} system"
-        )
-    variants = [
-        make_error_variants(gold, system, cfg.alignment)
-        for gold, system in zip(gold_docs, system_docs)
-    ]
+    pairs = paired_documents(read_documents(args.gold), read_documents(args.system))
+    variants = [make_error_variants(gold, system, cfg.alignment) for gold, system in pairs]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_documents(out_dir / "gold.txt", [v.gold for v in variants])
@@ -232,12 +218,10 @@ def cmd_variants(args, cfg: PipelineConfig) -> int:
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed, 0)
     p_max = _first_set(args.p_max, cfg.augmentation.p_max)
-    try:
-        aug_cfg = AugmentationConfig(p_max=p_max, seed=seed)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    results = augment_blocks(read_bitext_lines(_input_path(args, cfg)), aug_cfg, merge=augment_line)
-    write_bitext_lines(_output_path(args, cfg), [result.pairs for result in results])
+    aug_cfg = _configured(AugmentationConfig, p_max=p_max, seed=seed)
+    blocks = read_bitext_lines(_path(args, cfg, "input"))
+    results = augment_blocks(blocks, aug_cfg, merge=augment_line)
+    write_bitext_lines(_path(args, cfg, "output"), [result.pairs for result in results])
     produced = sum(len(result.pairs) for result in results)
     skipped = sum(result.skipped for result in results)
     print(f"effective seed: {seed}")
@@ -262,10 +246,7 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
         if label not in labels:
             raise UsageError(f"mixture references unknown corpus {label!r}")
         weights[label] = weight
-    try:
-        spec = MixtureSpec(corpus_weights=weights, augmented_fraction=fraction, seed=seed)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    spec = _configured(MixtureSpec, corpus_weights=weights, augmented_fraction=fraction, seed=seed)
     augmented_paths = {label: augmented_path for label, _, augmented_path in args.corpus}
     for label in sorted(weights):  # the order build_training_mixture checks in
         if augmented_paths[label] is None and spec.augmented_fraction > 0:
@@ -282,12 +263,13 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
             lines_of[path] = read_bitext_lines(path)
         return [(label, line) for block in lines_of[path] for line in block]
 
-    corpora = {
+    corpora = {  # only weighted corpora are drawn from, so only they are read
         label: (pool(label, original_path), pool(label, augmented_path))
         for label, original_path, augmented_path in args.corpus
+        if label in weights
     }
     mixture = build_training_mixture(corpora, spec, args.total)
-    write_bitext_lines(_output_path(args, cfg), [[line for _, line in mixture]])
+    write_bitext_lines(_path(args, cfg, "output"), [[line for _, line in mixture]])
     print(f"effective seed: {seed}")
     counts = Counter(label for label, _ in mixture)
     summary = ", ".join(f"{label}: {counts[label]}" for label in sorted(counts))
@@ -295,43 +277,27 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _bleu_config(args, cfg: PipelineConfig) -> BleuConfig:
-    try:
-        return BleuConfig(
-            max_ngram_order=_first_set(args.max_order, cfg.bleu.max_ngram_order),
-            case_sensitive=False if args.case_insensitive else cfg.bleu.case_sensitive,
-            smoothing=_first_set(args.smoothing, cfg.bleu.smoothing),
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-
-
-def _check_same_segmentation(hyp_docs, ref_docs) -> None:
-    """Plain scoring pairs segments 1:1, so both sides must be cut alike."""
-    for hyp, ref in zip(hyp_docs, ref_docs):
-        if len(hyp.segments) != len(ref.segments):
-            raise ValueError(
-                f"segment count mismatch in document {ref.doc_id}: {len(hyp.segments)} "
-                f"hypothesis vs {len(ref.segments)} reference (--resegment scores across "
-                "segmentations)"
-            )
-    if len(hyp_docs) != len(ref_docs):
-        paired = min(len(hyp_docs), len(ref_docs))
-        unpaired = (hyp_docs if len(hyp_docs) > paired else ref_docs)[paired]
-        raise ValueError(
-            f"document count mismatch: {len(hyp_docs)} hypothesis vs {len(ref_docs)} "
-            f"reference; first unpaired document {unpaired.doc_id}"
-        )
-
-
 def cmd_score(args, cfg: PipelineConfig) -> int:
-    bleu_cfg = _bleu_config(args, cfg)
+    bleu_cfg = _configured(
+        BleuConfig,
+        max_ngram_order=_first_set(args.max_order, cfg.bleu.max_ngram_order),
+        case_sensitive=False if args.case_insensitive else cfg.bleu.case_sensitive,
+        smoothing=_first_set(args.smoothing, cfg.bleu.smoothing),
+    )
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
     if args.resegment:
         report = score_documents(hyp_docs, ref_docs, bleu_cfg, cfg.alignment)
     else:
-        _check_same_segmentation(hyp_docs, ref_docs)
+        # Plain scoring pairs segments 1:1, so both sides must be cut alike.
+        for hyp, ref in zip(hyp_docs, ref_docs):
+            if len(hyp.segments) != len(ref.segments):
+                raise InputError(
+                    f"segment count mismatch in document {ref.doc_id}: {len(hyp.segments)} "
+                    f"hypothesis vs {len(ref.segments)} reference (--resegment scores across "
+                    "segmentations)"
+                )
+        paired_documents(hyp_docs, ref_docs)  # refuses unequal document counts
         hyp_segments = [seg for doc in hyp_docs for seg in doc.segments]
         ref_segments = [seg for doc in ref_docs for seg in doc.segments]
         report = corpus_bleu(hyp_segments, ref_segments, bleu_cfg)
@@ -346,17 +312,12 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_wer(args, cfg: PipelineConfig) -> int:
-    ref_docs = read_documents(args.reference)
-    hyp_docs = read_documents(args.hypothesis)
-    if len(ref_docs) != len(hyp_docs):
-        raise ValueError(
-            f"document count mismatch: {len(ref_docs)} reference vs {len(hyp_docs)} hypothesis"
-        )
-    counts = [wer_counts(ref.tokens(), hyp.tokens()) for ref, hyp in zip(ref_docs, hyp_docs)]
+    pairs = paired_documents(read_documents(args.reference), read_documents(args.hypothesis))
+    counts = [wer_counts(ref.tokens(), hyp.tokens()) for ref, hyp in pairs]
     errors = sum(e for e, _ in counts)
     ref_len = sum(n for _, n in counts)
     if ref_len == 0:
-        raise ValueError("WER is undefined: reference corpus is empty after normalization")
+        raise InputError("WER is undefined: reference corpus is empty after normalization")
     rate = errors / ref_len
     print(f"WER {rate:.4f} ({errors} error(s) / {ref_len} reference token(s))")
     if args.json:
@@ -366,27 +327,23 @@ def cmd_wer(args, cfg: PipelineConfig) -> int:
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.noise.seed, cfg.seed, 0)
-    try:
-        noise_cfg = NoiseConfig(
-            substitution_rate=_first_set(args.substitution_rate, cfg.noise.substitution_rate),
-            deletion_rate=_first_set(args.deletion_rate, cfg.noise.deletion_rate),
-            insertion_rate=_first_set(args.insertion_rate, cfg.noise.insertion_rate),
-            boundary_merge_rate=_first_set(args.merge_rate, cfg.noise.boundary_merge_rate),
-            boundary_split_rate=_first_set(args.split_rate, cfg.noise.boundary_split_rate),
-            seed=seed,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    docs = read_documents(_input_path(args, cfg))
-    if args.vocab:
-        vocabulary = tuple(sorted(set(Path(args.vocab).read_text(encoding="utf-8").split())))
-    elif cfg.noise.vocabulary:
-        vocabulary = cfg.noise.vocabulary
-    else:
-        vocabulary = tuple(sorted({tok for doc in docs for tok in doc.tokens()}))
+    noise_cfg = _configured(
+        NoiseConfig,
+        substitution_rate=_first_set(args.substitution_rate, cfg.noise.substitution_rate),
+        deletion_rate=_first_set(args.deletion_rate, cfg.noise.deletion_rate),
+        insertion_rate=_first_set(args.insertion_rate, cfg.noise.insertion_rate),
+        boundary_merge_rate=_first_set(args.merge_rate, cfg.noise.boundary_merge_rate),
+        boundary_split_rate=_first_set(args.split_rate, cfg.noise.boundary_split_rate),
+        seed=seed,
+    )
+    docs = read_documents(_path(args, cfg, "input"))
+    vocabulary = cfg.noise.vocabulary
+    if args.vocab or not vocabulary:  # the tokens of --vocab, else of the input
+        source = read_documents(args.vocab) if args.vocab else docs
+        vocabulary = tuple(sorted({tok for doc in source for tok in doc.tokens()}))
     noise_cfg = dataclasses.replace(noise_cfg, vocabulary=vocabulary)
     corrupted = [corrupt_boundaries(corrupt_tokens(doc, noise_cfg), noise_cfg) for doc in docs]
-    write_documents(_output_path(args, cfg), _drop_empty(corrupted, "corruption"))
+    write_documents(_path(args, cfg, "output"), _drop_empty(corrupted, "corruption"))
     print(f"effective seed: {seed}")
     return EXIT_OK
 
@@ -547,13 +504,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ConfigError) as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as err:  # exit-code contract: unexpected failures are internal
+    except Exception as err:  # any other failure is a bug, never bad input
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,9 +1,9 @@
 """Pipeline configuration: one YAML file that sets defaults for every knob.
 
 Command-line flags override config values, which override the built-in
-defaults.  Unknown keys are rejected so typos fail loudly.  The default
-config path can be set through the ``SEGMT_CONFIG`` environment variable
-and overridden with ``--config``.
+defaults.  Unknown keys and values of the wrong type are rejected, so
+typos fail loudly.  The default config path can be set through the
+``SEGMT_CONFIG`` environment variable and overridden with ``--config``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from .augment import AugmentationConfig
 from .bleu import BleuConfig
 from .noise import NoiseConfig
 from .segment import PauseSplitConfig
-from .text import NormalizationPolicy
+from .text import InputError, NormalizationPolicy
 
 ENV_CONFIG_PATH = "SEGMT_CONFIG"
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     """Invalid configuration file."""
 
 
@@ -48,43 +48,66 @@ def _alignment_config(**policy) -> AlignmentConfig:
     return AlignmentConfig(normalize_for_alignment=replace(ALIGNMENT_NORMALIZATION, **policy))
 
 
+_REAL = (int, float)
+_SEED = (int, type(None))  # an unset section seed falls back to the top-level one
+_PATH = (str, type(None))
+_POLICY = {"strip_punctuation": bool, "lowercase": bool, "strip_symbols": bool}
+
+#: Each section's builder and the types of its keys' values.
 _SECTION_BUILDERS = {
-    "alignment": (_alignment_config, {"lowercase", "strip_punctuation", "strip_symbols"}),
-    "normalization": (
-        NormalizationPolicy,
-        {"strip_punctuation", "lowercase", "strip_symbols"},
-    ),
-    "pause_split": (PauseSplitConfig, {"pause_threshold_sec", "max_tokens"}),
-    "augmentation": (AugmentationConfig, {"p_max", "seed"}),
-    "bleu": (BleuConfig, {"max_ngram_order", "case_sensitive", "smoothing"}),
+    "alignment": (_alignment_config, _POLICY),
+    "normalization": (NormalizationPolicy, _POLICY),
+    "pause_split": (PauseSplitConfig, {"pause_threshold_sec": _REAL, "max_tokens": int}),
+    "augmentation": (AugmentationConfig, {"p_max": _REAL, "seed": _SEED}),
+    "bleu": (BleuConfig, {"max_ngram_order": int, "case_sensitive": bool, "smoothing": str}),
     "noise": (
         NoiseConfig,
         {
-            "substitution_rate",
-            "deletion_rate",
-            "insertion_rate",
-            "boundary_merge_rate",
-            "boundary_split_rate",
-            "vocabulary",
-            "seed",
+            "substitution_rate": _REAL,
+            "deletion_rate": _REAL,
+            "insertion_rate": _REAL,
+            "boundary_merge_rate": _REAL,
+            "boundary_split_rate": _REAL,
+            "vocabulary": list,
+            "seed": _SEED,
         },
     ),
 }
 
-_SCALAR_KEYS = {"seed", "fixed_length", "mixture_augmented_fraction", "input_path", "output_path"}
+#: The top-level scalar keys and the types of their values.
+_SCALAR_TYPES = {
+    "seed": int,
+    "fixed_length": int,
+    "mixture_augmented_fraction": _REAL,
+    "input_path": _PATH,
+    "output_path": _PATH,
+}
 
 
-def _build_section(name: str, data: dict):
-    cls, allowed = _SECTION_BUILDERS[name]
-    unknown = set(data) - allowed
+def _check_types(path, data: dict, types: dict, where: str = "") -> None:
+    """Refuse keys not in ``types`` and values not of their key's types.
+
+    A bool is accepted only where a bool is expected, never as a number.
+    """
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    if name == "noise" and "vocabulary" in data:
+        raise ConfigError(f"{path}: unknown keys{where}: {sorted(unknown, key=str)}")
+    for key, value in data.items():
+        if isinstance(value, bool) != (types[key] is bool) or not isinstance(value, types[key]):
+            raise ConfigError(f"{path}: invalid value for {key!r}{where}: {value!r}")
+
+
+def _build_section(path, name: str, data: dict):
+    cls, types = _SECTION_BUILDERS[name]
+    _check_types(path, data, types, f" in section {name!r}")
+    if "vocabulary" in data:
+        if not all(isinstance(token, str) for token in data["vocabulary"]):
+            raise ConfigError(f"{path}: vocabulary entries in section {name!r} must be strings")
         data = dict(data, vocabulary=tuple(data["vocabulary"]))
     try:
         return cls(**data)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid section {name!r}: {err}") from err
+    except ValueError as err:
+        raise ConfigError(f"{path}: invalid section {name!r}: {err}") from err
 
 
 def load_config(path) -> PipelineConfig:
@@ -93,27 +116,23 @@ def load_config(path) -> PipelineConfig:
 
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as err:
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}:{line}: invalid UTF-8") from err
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer of too many digits
         raise ConfigError(f"{path}: invalid YAML: {err}") from err
     if raw is None:
         return PipelineConfig()
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    known = _SCALAR_KEYS | set(_SECTION_BUILDERS)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {sorted(unknown)}")
-
-    kwargs = {}
-    for key in _SCALAR_KEYS & set(raw):
-        kwargs[key] = raw[key]
-    for name in set(_SECTION_BUILDERS) & set(raw):
-        section = raw[name] or {}
+    sections = {name: raw.pop(name) or {} for name in _SECTION_BUILDERS if name in raw}
+    _check_types(path, raw, _SCALAR_TYPES)
+    for key in ("input_path", "output_path"):
+        if "\0" in (raw.get(key) or ""):  # no file name holds one
+            raise ConfigError(f"{path}: invalid value for {key!r}: {raw[key]!r}")
+    for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: section {name!r} must be a mapping")
-        kwargs[name] = _build_section(name, section)
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+        raw[name] = _build_section(path, name, section)
+    return PipelineConfig(**raw)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .align import AlignmentConfig, DEFAULT_CONFIG as DEFAULT_ALIGN, cross_project, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
-from .text import SegmentedDocument, flatten
+from .text import SegmentedDocument, flatten, paired_documents
 
 #: Reference-length bucket bounds used by the length breakdown, as
 #: (inclusive lower, exclusive upper) pairs.
@@ -114,13 +114,9 @@ def _paired_segments(
     ref_docs: Sequence[SegmentedDocument],
     align_cfg: AlignmentConfig,
 ) -> Tuple[List[List[str]], List[List[str]]]:
-    if len(hyp_docs) != len(ref_docs):
-        raise ValueError(
-            f"document count mismatch: {len(hyp_docs)} hypotheses vs {len(ref_docs)} references"
-        )
     hyp_segments: List[List[str]] = []
     ref_segments: List[List[str]] = []
-    for hyp_doc, ref_doc in zip(hyp_docs, ref_docs):
+    for hyp_doc, ref_doc in paired_documents(hyp_docs, ref_docs):
         hyp_segments.extend(resegment_hypothesis(hyp_doc, ref_doc, align_cfg))
         ref_segments.extend(ref_doc.segments)
     return hyp_segments, ref_segments

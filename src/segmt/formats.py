@@ -35,12 +35,12 @@ from .augment import BitextPair
 from .bleu import BleuReport
 from .evaluate import LengthBucketReport
 from .segment import TimedTranscript, TimedWord
-from .text import SegmentedDocument
+from .text import InputError, SegmentedDocument
 
 PathLike = Union[str, Path]
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """Malformed input file."""
 
     def __init__(self, path: PathLike, line: Optional[int], message: str):
@@ -111,9 +111,9 @@ def read_transcripts(path: PathLike) -> List[TimedTranscript]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(record, dict) or "words" not in record:
+            except ValueError as err:  # a JSONDecodeError, or an integer of too many digits
+                raise ParseError(path, lineno, f"invalid JSON: {getattr(err, 'msg', err)}") from err
+            if not isinstance(record, dict) or not isinstance(record.get("words"), list):
                 raise ParseError(path, lineno, "expected an object with a 'words' list")
             words = []
             for i, item in enumerate(record["words"]):
@@ -125,7 +125,7 @@ def read_transcripts(path: PathLike) -> List[TimedTranscript]:
                             end=float(item["end"]),
                         )
                     )
-                except (KeyError, TypeError, ValueError) as err:
+                except (KeyError, TypeError, ValueError, OverflowError) as err:
                     raise ParseError(
                         path, lineno, f"word {i} needs text/start/end fields: {err}"
                     ) from err

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .rng import Stream, make_rng
-from .text import SegmentedDocument, flatten, rebuild
+from .text import InputError, SegmentedDocument, flatten, rebuild
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
     identity, and segments whose tokens all disappear are dropped.
     """
     if (cfg.substitution_rate > 0 or cfg.insertion_rate > 0) and not cfg.vocabulary:
-        raise ValueError("substitution/insertion need a non-empty vocabulary")
+        raise InputError("substitution/insertion need a non-empty vocabulary")
     rng = Stream(make_rng(cfg.seed, "tokens", doc.doc_id))
     sub_cut = cfg.substitution_rate
     del_cut = cfg.substitution_rate + cfg.deletion_rate

@@ -12,7 +12,11 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, Tuple
+
+
+class InputError(ValueError):
+    """Caller-supplied data that cannot be processed (the CLI exits 2 on it)."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,20 @@ class SegmentedDocument:
 
     def __len__(self) -> int:
         return len(self.segments)
+
+
+def paired_documents(
+    first: Sequence[SegmentedDocument], second: Sequence[SegmentedDocument]
+) -> Iterator[Tuple[SegmentedDocument, SegmentedDocument]]:
+    """``zip(first, second)``, refused with :class:`InputError` unless the counts match."""
+    if len(first) != len(second):
+        paired = min(len(first), len(second))
+        unpaired = (first if len(first) > paired else second)[paired]
+        raise InputError(
+            f"document count mismatch: {len(first)} vs {len(second)} documents; "
+            f"first unpaired document {unpaired.doc_id}"
+        )
+    return zip(first, second)
 
 
 def tokenize(text: str) -> list:

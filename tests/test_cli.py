@@ -456,6 +456,18 @@ def test_mix_empty_augmented_file_is_input_error(tmp_path, capsys):
     assert "corpus 'a' has no augmented pairs but augmented_fraction > 0" in capsys.readouterr().err
 
 
+def test_mix_reads_only_weighted_corpora(tmp_path, capsys):
+    one = write_lines(tmp_path / "one.tsv", "a1\tx1\na2 b\tx2\n\na3\tx3 y\n")
+    missing = str(tmp_path / "missing.tsv")
+    alone, with_unweighted = tmp_path / "alone.tsv", tmp_path / "with_unweighted.tsv"
+    assert main(mix_args({"a": (one, None)}, {"a": 1.0}, 0, 4, 3, alone)) == 0
+    expected_stdout = capsys.readouterr().out
+    corpora = {"a": (one, None), "b": (missing, missing)}
+    assert main(mix_args(corpora, {"a": 1.0}, 0, 4, 3, with_unweighted)) == 0
+    assert capsys.readouterr().out == expected_stdout
+    assert with_unweighted.read_bytes() == alone.read_bytes()
+
+
 def tokenised_mix(corpora, weights, fraction, seed, total, out):
     """Reference ``mix``: read pairs as tokens, draw them, write them back; returns stdout."""
     pools = {

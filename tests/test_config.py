@@ -115,3 +115,52 @@ def test_invalid_yaml(tmp_path):
 def test_null_section_gives_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, "bleu:\n"))
     assert cfg.bleu.max_ngram_order == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed: [1]\n",
+        "seed: true\n",
+        "seed: 1.5\n",
+        "fixed_length: x\n",
+        "fixed_length: false\n",
+        "mixture_augmented_fraction: x\n",
+        "input_path: 5\n",
+        "output_path: [a]\n",
+        "pause_split:\n  max_tokens: 2.5\n",
+        "bleu:\n  max_ngram_order: true\n",
+        "bleu:\n  case_sensitive: 1\n",
+        "augmentation:\n  seed: abc\n",
+        "noise:\n  seed: [1]\n",
+        "noise:\n  vocabulary: abc\n",
+        "noise:\n  vocabulary: [a, 1]\n",
+    ],
+)
+def test_values_of_the_wrong_type_are_rejected(tmp_path, text):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"^{path}: "):
+        load_config(path)
+
+
+def test_well_typed_values_are_accepted(tmp_path):
+    cfg = load_config(write_config(
+        tmp_path,
+        "seed: -3\nmixture_augmented_fraction: 1\ninput_path: null\n"
+        "pause_split:\n  pause_threshold_sec: 2\naugmentation:\n  seed: null\n",
+    ))
+    assert (cfg.seed, cfg.mixture_augmented_fraction, cfg.input_path) == (-3, 1, None)
+    assert cfg.pause_split.pause_threshold_sec == 2
+    assert cfg.augmentation.seed is None
+
+
+def test_unknown_keys_of_mixed_types_are_listed(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown keys: \[1, 'a'\]"):
+        load_config(write_config(tmp_path, "1: 2\na: 3\n"))
+
+
+def test_invalid_utf8_names_the_line(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"seed: 1\nbleu:\n  smoothing: \xe9\n")
+    with pytest.raises(ConfigError, match=f"^{path}:3: invalid UTF-8"):
+        load_config(path)

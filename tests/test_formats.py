@@ -87,6 +87,14 @@ def test_transcripts_invalid_json(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize("words", [5, None, True, 1.5])
+def test_transcripts_words_must_be_a_list(tmp_path, words):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"words": []}\n' + json.dumps({"words": words}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r":2: expected an object with a 'words' list"):
+        read_transcripts(path)
+
+
 def test_transcripts_missing_field(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"doc_id": "x", "words": [{"text": "a", "start": 0.0}]}\n', encoding="utf-8")
