@@ -68,7 +68,7 @@ class MixtureSpec:
             if weight < 0:
                 raise ValueError(f"negative weight for corpus {label!r}")
         total = sum(self.corpus_weights.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN weight makes a NaN total, which fails too
             raise ValueError(f"corpus weights must sum to 1, got {total}")
         if not 0 <= self.augmented_fraction <= 1:
             raise ValueError("augmented_fraction must be in [0, 1]")

@@ -508,7 +508,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # any other failure is a bug, never bad input
-        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        tb = err.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{tb.tb_frame.f_code.co_filename}:{tb.tb_lineno} in {tb.tb_frame.f_code.co_name}"
+        print(f"internal error: {type(err).__name__}: {err} (at {where})", file=sys.stderr)
         return EXIT_INTERNAL
 
 

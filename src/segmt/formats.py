@@ -31,10 +31,9 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .augment import BitextPair
 from .bleu import BleuReport
 from .evaluate import LengthBucketReport
-from .segment import TimedTranscript, TimedWord
+from .segment import TimedTranscript
 from .text import InputError, SegmentedDocument
 
 PathLike = Union[str, Path]
@@ -115,27 +114,29 @@ def read_transcripts(path: PathLike) -> List[TimedTranscript]:
                 raise ParseError(path, lineno, f"invalid JSON: {getattr(err, 'msg', err)}") from err
             if not isinstance(record, dict) or not isinstance(record.get("words"), list):
                 raise ParseError(path, lineno, "expected an object with a 'words' list")
-            words = []
-            for i, item in enumerate(record["words"]):
-                try:
-                    words.append(
-                        TimedWord(
-                            text=str(item["text"]),
-                            start=float(item["start"]),
-                            end=float(item["end"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError, OverflowError) as err:
-                    raise ParseError(
-                        path, lineno, f"word {i} needs text/start/end fields: {err}"
-                    ) from err
+            words = record["words"]
             try:
-                transcripts.append(
-                    TimedTranscript(words, doc_id=str(record.get("doc_id", f"doc{len(transcripts)}")))
-                )
+                texts = [str(item["text"]) for item in words]
+                starts = [float(item["start"]) for item in words]
+                ends = [float(item["end"]) for item in words]
+            except (KeyError, TypeError, ValueError, OverflowError):
+                _check_word_fields(path, lineno, words)  # names the first bad word
+                raise
+            doc_id = str(record.get("doc_id", f"doc{len(transcripts)}"))
+            try:
+                transcripts.append(TimedTranscript.from_columns(texts, starts, ends, doc_id))
             except ValueError as err:
                 raise ParseError(path, lineno, str(err)) from err
     return transcripts
+
+
+def _check_word_fields(path: PathLike, lineno: int, words: list) -> None:
+    """Raise for the first word whose text, start or end does not convert, word by word."""
+    for i, item in enumerate(words):
+        try:
+            str(item["text"]), float(item["start"]), float(item["end"])
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise ParseError(path, lineno, f"word {i} needs text/start/end fields: {err}") from err
 
 
 def write_transcripts(path: PathLike, transcripts: Sequence[TimedTranscript]) -> None:
@@ -166,24 +167,6 @@ def _bitext_sides(path: PathLike, lines: Iterable[str]) -> Iterator[Optional[Lis
             )
         else:
             raise ParseError(path, lineno, "empty source or target side")
-
-
-@_utf8_located
-def read_bitext(path: PathLike, origin: str = "") -> List[List[BitextPair]]:
-    """Read a bitext file as a list of documents (lists of pairs)."""
-    blocks: List[List[BitextPair]] = []
-    current: List[BitextPair] = []
-    with open(path, encoding="utf-8") as handle:
-        for sides in _bitext_sides(path, handle):
-            if sides is None:
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            current.append(BitextPair(sides[0].split(), sides[1].split(), origin=origin))
-    if current:
-        blocks.append(current)
-    return blocks
 
 
 #: The characters beyond ASCII that ``str.split()`` splits on.
@@ -219,10 +202,9 @@ def _is_canonical(text: str) -> bool:
 def read_bitext_lines(path: PathLike) -> List[List[str]]:
     """A bitext file as documents of ``source<TAB>target`` lines, one per pair.
 
-    The lines are those :func:`write_bitext` writes for :func:`read_bitext`'s
-    pairs, built without tokens: a canonical file's lines come back as they
-    are, and any other file's sides have their whitespace normalised.  Both
-    readers validate lines alike and raise the same errors.
+    Each line is the pair's sides with their tokens joined by single spaces,
+    built without splitting into tokens: a canonical file's lines come back
+    as they are, and any other file's sides have their whitespace normalised.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -235,15 +217,6 @@ def read_bitext_lines(path: PathLike) -> List[List[str]]:
         elif blocks[-1]:
             blocks.append([])
     return [block for block in blocks if block]
-
-
-def write_bitext(path: PathLike, blocks: Sequence[Sequence[BitextPair]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, block in enumerate(blocks):
-            if i:
-                handle.write("\n")
-            for pair in block:
-                handle.write(" ".join(pair.source) + "\t" + " ".join(pair.target) + "\n")
 
 
 def write_bitext_lines(path: PathLike, blocks: Iterable[Sequence[str]]) -> None:

