@@ -23,9 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .align import project_boundaries, wer_counts
-from .augment import (AugmentationConfig, MixtureSpec, augment_blocks, augment_line,
-                      build_training_mixture)
-from .bleu import BleuConfig, corpus_bleu
+from .augment import MixtureSpec, augment_blocks, augment_line, build_training_mixture
+from .bleu import corpus_bleu
 from .config import ENV_CONFIG_PATH, PipelineConfig, load_config
 from .evaluate import (
     DEFAULT_BUCKET_BOUNDS,
@@ -45,8 +44,8 @@ from .formats import (
     write_documents,
     write_records,
 )
-from .noise import NoiseConfig, corrupt_boundaries, corrupt_tokens
-from .segment import PauseSplitConfig, break_on_punctuation, split_fixed_length, split_on_pauses
+from .noise import corrupt_boundaries, corrupt_tokens
+from .segment import break_on_punctuation, split_fixed_length, split_on_pauses
 from .text import (
     PUNCTUATED,
     STRIPPED,
@@ -85,7 +84,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _first_set(*values):
-    """The first value that is set (not None): flag, then config, then default."""
+    """The first value that is set (not None): a seed's or a path's fallback chain."""
     return next((value for value in values if value is not None), None)
 
 
@@ -98,11 +97,11 @@ def _path(args, cfg: PipelineConfig, kind: str) -> str:
     return path
 
 
-def _configured(cls, **values):
-    """``cls(**values)``, with a value it refuses reported as a usage error."""
+def _overlay(settings, **flags):
+    """``settings`` (the config's, else the defaults) with the flags given (not None) on top."""
     try:
-        return cls(**values)
-    except ValueError as err:
+        return dataclasses.replace(settings, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as err:  # the settings were checked when built, so a flag is at fault
         raise UsageError(str(err)) from err
 
 
@@ -171,9 +170,7 @@ def cmd_segment_punct(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_segment_fixed(args, cfg: PipelineConfig) -> int:
-    length = _first_set(args.n, cfg.fixed_length)
-    if length < 1:
-        raise UsageError("--n must be >= 1")
+    length = _overlay(cfg, fixed_length=args.n).fixed_length
     docs = read_documents(_path(args, cfg, "input"))
     out = [split_fixed_length(doc.tokens(), length, doc_id=doc.doc_id) for doc in docs]
     write_documents(_path(args, cfg, "output"), out)
@@ -181,10 +178,8 @@ def cmd_segment_fixed(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
-    split_cfg = _configured(
-        PauseSplitConfig,
-        pause_threshold_sec=_first_set(args.threshold, cfg.pause_split.pause_threshold_sec),
-        max_tokens=_first_set(args.max_tokens, cfg.pause_split.max_tokens),
+    split_cfg = _overlay(
+        cfg.pause_split, pause_threshold_sec=args.threshold, max_tokens=args.max_tokens
     )
     transcripts = read_transcripts(_path(args, cfg, "input"))
     out = [split_on_pauses(t, split_cfg) for t in transcripts]
@@ -217,8 +212,7 @@ def cmd_variants(args, cfg: PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed, 0)
-    p_max = _first_set(args.p_max, cfg.augmentation.p_max)
-    aug_cfg = _configured(AugmentationConfig, p_max=p_max, seed=seed)
+    aug_cfg = _overlay(cfg.augmentation, p_max=args.p_max, seed=seed)
     blocks = read_bitext_lines(_path(args, cfg, "input"))
     results = augment_blocks(blocks, aug_cfg, merge=augment_line)
     write_bitext_lines(_path(args, cfg, "output"), [result.pairs for result in results])
@@ -231,7 +225,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 def cmd_mix(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.seed, 0)
-    fraction = _first_set(args.augmented_fraction, cfg.mixture_augmented_fraction)
+    cfg = _overlay(cfg, mixture_augmented_fraction=args.augmented_fraction)
     if args.total < 0:
         raise UsageError("--total must be >= 0")
     labels = set()
@@ -246,7 +240,10 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
         if label not in labels:
             raise UsageError(f"mixture references unknown corpus {label!r}")
         weights[label] = weight
-    spec = _configured(MixtureSpec, corpus_weights=weights, augmented_fraction=fraction, seed=seed)
+    try:  # the weights come only from flags, so there are no settings to overlay
+        spec = MixtureSpec(weights, cfg.mixture_augmented_fraction, seed)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     augmented_paths = {label: augmented_path for label, _, augmented_path in args.corpus}
     for label in sorted(weights):  # the order build_training_mixture checks in
         if augmented_paths[label] is None and spec.augmented_fraction > 0:
@@ -278,11 +275,11 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
-    bleu_cfg = _configured(
-        BleuConfig,
-        max_ngram_order=_first_set(args.max_order, cfg.bleu.max_ngram_order),
-        case_sensitive=False if args.case_insensitive else cfg.bleu.case_sensitive,
-        smoothing=_first_set(args.smoothing, cfg.bleu.smoothing),
+    bleu_cfg = _overlay(
+        cfg.bleu,
+        max_ngram_order=args.max_order,
+        case_sensitive=False if args.case_insensitive else None,
+        smoothing=args.smoothing,
     )
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
@@ -327,13 +324,13 @@ def cmd_wer(args, cfg: PipelineConfig) -> int:
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
     seed = _first_set(args.seed, cfg.noise.seed, cfg.seed, 0)
-    noise_cfg = _configured(
-        NoiseConfig,
-        substitution_rate=_first_set(args.substitution_rate, cfg.noise.substitution_rate),
-        deletion_rate=_first_set(args.deletion_rate, cfg.noise.deletion_rate),
-        insertion_rate=_first_set(args.insertion_rate, cfg.noise.insertion_rate),
-        boundary_merge_rate=_first_set(args.merge_rate, cfg.noise.boundary_merge_rate),
-        boundary_split_rate=_first_set(args.split_rate, cfg.noise.boundary_split_rate),
+    noise_cfg = _overlay(
+        cfg.noise,
+        substitution_rate=args.substitution_rate,
+        deletion_rate=args.deletion_rate,
+        insertion_rate=args.insertion_rate,
+        boundary_merge_rate=args.merge_rate,
+        boundary_split_rate=args.split_rate,
         seed=seed,
     )
     docs = read_documents(_path(args, cfg, "input"))
@@ -349,10 +346,9 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_report(args, cfg: PipelineConfig) -> int:
-    bounds = _first_set(args.bounds, DEFAULT_BUCKET_BOUNDS)
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
-    result = bucket_report(hyp_docs, ref_docs, bounds, align_cfg=cfg.alignment)
+    result = bucket_report(hyp_docs, ref_docs, args.bounds, align_cfg=cfg.alignment)
     print(f"{'bucket':<12}{'count':>8}{'mean BLEU':>12}")
     for bucket in result.buckets:
         label = f"[{bucket.lower},{bucket.upper})"
@@ -484,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bounds",
         type=_parse_bounds,
+        default=DEFAULT_BUCKET_BOUNDS,
         metavar="LO:HI[,LO:HI...]",
         help="bucket bounds (default 0:20,20:40,40:60)",
     )

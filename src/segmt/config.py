@@ -1,18 +1,19 @@
 """Pipeline configuration: one YAML file that sets defaults for every knob.
 
 Command-line flags override config values, which override the built-in
-defaults.  Unknown keys and values of the wrong type are rejected, so
+defaults.  The settings dataclasses are the schema: a section's keys are
+its dataclass's init fields, and a value must be of its field's type, so
 typos fail loudly.  The default config path can be set through the
 ``SEGMT_CONFIG`` environment variable and overridden with ``--config``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .align import ALIGNMENT_NORMALIZATION, AlignmentConfig
+from .align import AlignmentConfig
 from .augment import AugmentationConfig
 from .bleu import BleuConfig
 from .noise import NoiseConfig
@@ -42,72 +43,64 @@ class PipelineConfig:
     input_path: Optional[str] = None
     output_path: Optional[str] = None
 
-
-def _alignment_config(**policy) -> AlignmentConfig:
-    """The ``alignment`` section sets NormalizationPolicy fields over the alignment default."""
-    return AlignmentConfig(normalize_for_alignment=replace(ALIGNMENT_NORMALIZATION, **policy))
-
-
-_REAL = (int, float)
-_SEED = (int, type(None))  # an unset section seed falls back to the top-level one
-_PATH = (str, type(None))
-_POLICY = {"strip_punctuation": bool, "lowercase": bool, "strip_symbols": bool}
-
-#: Each section's builder and the types of its keys' values.
-_SECTION_BUILDERS = {
-    "alignment": (_alignment_config, _POLICY),
-    "normalization": (NormalizationPolicy, _POLICY),
-    "pause_split": (PauseSplitConfig, {"pause_threshold_sec": _REAL, "max_tokens": int}),
-    "augmentation": (AugmentationConfig, {"p_max": _REAL, "seed": _SEED}),
-    "bleu": (BleuConfig, {"max_ngram_order": int, "case_sensitive": bool, "smoothing": str}),
-    "noise": (
-        NoiseConfig,
-        {
-            "substitution_rate": _REAL,
-            "deletion_rate": _REAL,
-            "insertion_rate": _REAL,
-            "boundary_merge_rate": _REAL,
-            "boundary_split_rate": _REAL,
-            "vocabulary": list,
-            "seed": _SEED,
-        },
-    ),
-}
-
-#: The top-level scalar keys and the types of their values.
-_SCALAR_TYPES = {
-    "seed": int,
-    "fixed_length": int,
-    "mixture_augmented_fraction": _REAL,
-    "input_path": _PATH,
-    "output_path": _PATH,
-}
+    def __post_init__(self):
+        if self.fixed_length < 1:
+            raise ValueError("fixed_length must be >= 1")
+        if not 0 <= self.mixture_augmented_fraction <= 1:  # NaN fails too
+            raise ValueError("mixture_augmented_fraction must be in [0, 1]")
+        for key in ("input_path", "output_path"):
+            if "\0" in (getattr(self, key) or ""):  # no file name holds one
+                raise ValueError(f"invalid value for {key!r}: {getattr(self, key)!r}")
 
 
-def _check_types(path, data: dict, types: dict, where: str = "") -> None:
-    """Refuse keys not in ``types`` and values not of their key's types.
+def _init_fields(cls) -> dict:
+    """The init fields of dataclass ``cls`` and their types: the keys that set it."""
+    types = get_type_hints(cls)
+    return {field.name: types[field.name] for field in fields(cls) if field.init}
 
-    A bool is accepted only where a bool is expected, never as a number.
+
+def _sections(cfg: PipelineConfig) -> dict:
+    """Each section's name and the settings in ``cfg`` that its keys replace fields of."""
+    sections = {
+        name: getattr(cfg, name)
+        for name, kind in _init_fields(PipelineConfig).items()
+        if is_dataclass(kind)
+    }
+    sections["alignment"] = cfg.alignment.normalize_for_alignment  # how alignment compares tokens
+    return sections
+
+
+def _admits(kind, value) -> bool:
+    """Whether a field of type ``kind`` takes the YAML ``value``.
+
+    A bool is taken only where a bool is expected, never as a number; an int
+    is taken where a float is, and a list of ``X`` where a ``Tuple[X, ...]`` is.
     """
-    unknown = set(data) - set(types)
+    if get_origin(kind) is Union:  # Optional[X]
+        return any(_admits(arg, value) for arg in get_args(kind))
+    if get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_admits(get_args(kind)[0], item) for item in value)
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _replace(path, settings, data: dict, section: str = ""):
+    """``settings`` with ``data``'s values in place of its fields, checked by its dataclass."""
+    where = f" in section {section!r}" if section else ""
+    kinds = _init_fields(type(settings))
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"{path}: unknown keys{where}: {sorted(unknown, key=str)}")
     for key, value in data.items():
-        if isinstance(value, bool) != (types[key] is bool) or not isinstance(value, types[key]):
+        if not _admits(kinds[key], value):
             raise ConfigError(f"{path}: invalid value for {key!r}{where}: {value!r}")
-
-
-def _build_section(path, name: str, data: dict):
-    cls, types = _SECTION_BUILDERS[name]
-    _check_types(path, data, types, f" in section {name!r}")
-    if "vocabulary" in data:
-        if not all(isinstance(token, str) for token in data["vocabulary"]):
-            raise ConfigError(f"{path}: vocabulary entries in section {name!r} must be strings")
-        data = dict(data, vocabulary=tuple(data["vocabulary"]))
+    values = {key: tuple(value) if isinstance(value, list) else value for key, value in data.items()}
     try:
-        return cls(**data)
+        return replace(settings, **values)
     except ValueError as err:
-        raise ConfigError(f"{path}: invalid section {name!r}: {err}") from err
+        prefix = f"invalid section {section!r}: " if section else ""
+        raise ConfigError(f"{path}: {prefix}{err}") from err
 
 
 def load_config(path) -> PipelineConfig:
@@ -126,13 +119,13 @@ def load_config(path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    sections = {name: raw.pop(name) or {} for name in _SECTION_BUILDERS if name in raw}
-    _check_types(path, raw, _SCALAR_TYPES)
-    for key in ("input_path", "output_path"):
-        if "\0" in (raw.get(key) or ""):  # no file name holds one
-            raise ConfigError(f"{path}: invalid value for {key!r}: {raw[key]!r}")
-    for name, section in sections.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"{path}: section {name!r} must be a mapping")
-        raw[name] = _build_section(path, name, section)
-    return PipelineConfig(**raw)
+    default = PipelineConfig()
+    for name, settings in _sections(default).items():
+        if name in raw:
+            section = raw[name] or {}
+            if not isinstance(section, dict):
+                raise ConfigError(f"{path}: section {name!r} must be a mapping")
+            raw[name] = _replace(path, settings, section, name)
+    if "alignment" in raw:
+        raw["alignment"] = replace(default.alignment, normalize_for_alignment=raw["alignment"])
+    return _replace(path, default, raw)

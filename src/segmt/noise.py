@@ -45,6 +45,9 @@ class NoiseConfig:
         # Small slack so rates like 0.3 + 0.3 + 0.4 pass despite float rounding.
         if total > 1 + 1e-9:
             raise ValueError("substitution + deletion + insertion rates must sum to <= 1")
+        if " ".join(self.vocabulary).split() != list(self.vocabulary):
+            bad = next(entry for entry in self.vocabulary if entry.split() != [entry])
+            raise ValueError(f"vocabulary entries must be single tokens, got {bad!r}")
         others_before: Dict[str, List[int]] = {}
         for position, token in enumerate(self.vocabulary):
             occurrences = others_before.setdefault(token, [])

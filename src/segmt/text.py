@@ -96,16 +96,6 @@ def paired_documents(
     return zip(first, second)
 
 
-def tokenize(text: str) -> list:
-    """Split text on runs of whitespace. Empty or blank input yields []."""
-    return text.split()
-
-
-def detokenize(tokens: Sequence[str]) -> str:
-    """Join tokens with single spaces (inverse of tokenize for valid tokens)."""
-    return " ".join(tokens)
-
-
 @lru_cache(maxsize=65536)
 def _strip_categories(text: str, strip_punctuation: bool, strip_symbols: bool) -> str:
     out = []

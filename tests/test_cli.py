@@ -687,6 +687,82 @@ def test_config_paths_used_when_flags_missing(tmp_path):
     assert out.read_text(encoding="utf-8") == "hello world\n"
 
 
+SIMULATE = ["simulate", "{docs}", "-o", "{out}"]
+MIX = ["mix", "--corpus", "a={bitext}:{augmented}", "--weight", "a=1.0", "--total", "20", "-o", "{out}"]
+
+#: Each flag that sets a config value: the command, the flag ("{}" is the
+#: value), the config keys it falls back to in order, and two values whose
+#: results differ from each other and from the default's.
+PRECEDENCE = {
+    "--n": (["segment", "fixed", "{docs}", "-o", "{out}"], ["--n", "{}"], ["fixed_length"], 3, 5),
+    "--threshold": (["segment", "pause", "{transcripts}", "-o", "{out}"], ["--threshold", "{}"],
+                    ["pause_split.pause_threshold_sec"], 0.5, 0.25),
+    "--max-tokens": (["segment", "pause", "{transcripts}", "-o", "{out}"], ["--max-tokens", "{}"],
+                     ["pause_split.max_tokens"], 2, 3),
+    "--p-max": (["augment", "{bitext}", "-o", "{out}"], ["--p-max", "{}"], ["augmentation.p_max"], 0.9, 0.5),
+    "--augmented-fraction": (MIX, ["--augmented-fraction", "{}"], ["mixture_augmented_fraction"], 1.0, 0.5),
+    "--max-order": (["score", "{hyp}", "{ref}"], ["--max-order", "{}"], ["bleu.max_ngram_order"], 2, 3),
+    "--case-insensitive": (["score", "{hyp}", "{ref}"], ["--case-insensitive"], ["bleu.case_sensitive"],
+                           False, True),
+    "--smoothing": (["score", "{hyp}", "{ref}"], ["--smoothing", "{}"], ["bleu.smoothing"], "add-one", "none"),
+    "--substitution-rate": (SIMULATE, ["--substitution-rate", "{}"], ["noise.substitution_rate"], 0.5, 0.2),
+    "--deletion-rate": (SIMULATE, ["--deletion-rate", "{}"], ["noise.deletion_rate"], 0.5, 0.2),
+    "--insertion-rate": (SIMULATE, ["--insertion-rate", "{}"], ["noise.insertion_rate"], 0.5, 0.2),
+    "--merge-rate": (SIMULATE, ["--merge-rate", "{}"], ["noise.boundary_merge_rate"], 0.5, 0.2),
+    "--split-rate": (SIMULATE, ["--split-rate", "{}"], ["noise.boundary_split_rate"], 0.5, 0.2),
+    "augment --seed": (["augment", "{bitext}", "-o", "{out}"], ["--seed", "{}"],
+                       ["augmentation.seed", "seed"], 5, 7),
+    "mix --seed": (MIX, ["--seed", "{}"], ["seed"], 5, 7),
+    "simulate --seed": (SIMULATE + ["--substitution-rate", "0.3", "--split-rate", "0.3"], ["--seed", "{}"],
+                        ["noise.seed", "seed"], 5, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(PRECEDENCE))
+def test_flag_beats_config_beats_default(tmp_path, name):
+    argv, flag, keys, value, other = PRECEDENCE[name]
+    words = [{"text": f"w{i}", "start": start, "end": start + 0.1}
+             for i, start in enumerate([0.0, 0.4, 1.1, 2.7, 2.9, 3.1, 3.3, 3.5])]
+    paths = {
+        "docs": write_lines(tmp_path / "docs.txt", "".join(f"t{i} t{i + 1} t{i + 2}\n" for i in range(0, 36, 3))),
+        "transcripts": write_lines(tmp_path / "t.jsonl", json.dumps({"words": words}) + "\n"),
+        "bitext": write_lines(tmp_path / "bi.tsv", "".join(
+            f"{' '.join(f's{i}.{j}' for j in range(8))}\t{' '.join(f't{i}.{j}' for j in range(8))}\n"
+            for i in range(10))),
+        "augmented": write_lines(tmp_path / "aug.tsv", "".join(f"a{i}\tb{i}\n" for i in range(10))),
+        "hyp": write_lines(tmp_path / "hyp.txt", "The cat sat on a mat by the door\nA dog ran home\n"),
+        "ref": write_lines(tmp_path / "ref.txt", "the cat sat on the mat by a door\na dog ran home\n"),
+        "out": str(tmp_path / "out"),
+    }
+    out = tmp_path / "out"
+
+    def result(flag_value=None, **config):
+        """Stdout and output bytes of ``argv`` with the flag at ``flag_value`` and a config of ``config``."""
+        args = [arg.format(**paths) for arg in argv]
+        if flag_value is not None:
+            args += [arg.format(flag_value) for arg in flag]
+        if config:
+            nested = {}
+            for key, setting in config.items():
+                section, _, field = key.rpartition(".")
+                (nested.setdefault(section, {}) if section else nested)[field] = setting
+            config_path = tmp_path / "config.yaml"
+            config_path.write_text(json.dumps(nested), encoding="utf-8")  # JSON is YAML
+            args += ["--config", str(config_path)]
+        out.unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(args) == 0
+        return stdout.getvalue(), out.read_bytes() if out.exists() else b""
+
+    expected = result(value)
+    assert expected != result() and expected != result(**{keys[-1]: other})
+    # Each source, the flag first, sets the same value and beats every later one.
+    assert result(value, **{key: other for key in keys}) == expected
+    for i, key in enumerate(keys):
+        assert result(**{key: value}, **{later: other for later in keys[i + 1:]}) == expected, key
+
+
 def test_missing_input_usage_error(tmp_path, capsys):
     assert main(["normalize", "-o", str(tmp_path / "out.txt")]) == 1
     assert "input" in capsys.readouterr().err

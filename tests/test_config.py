@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from segmt.config import ConfigError, PipelineConfig, load_config
+from segmt.config import ConfigError, PipelineConfig, _init_fields, _sections, load_config
 
 FULL_CONFIG = """
 seed: 7
@@ -164,3 +166,20 @@ def test_invalid_utf8_names_the_line(tmp_path):
     path.write_bytes(b"seed: 1\nbleu:\n  smoothing: \xe9\n")
     with pytest.raises(ConfigError, match=f"^{path}:3: invalid UTF-8"):
         load_config(path)
+
+
+def test_readme_config_reference_is_the_schema(tmp_path):
+    """README's "Configuration" YAML block loads to the defaults and names every key."""
+    import yaml
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert load_config(write_config(tmp_path, block)) == PipelineConfig()
+    documented = yaml.safe_load(block)
+    keys = {(name,) for name in _init_fields(PipelineConfig)}
+    for name, settings in _sections(PipelineConfig()).items():
+        keys |= {(name, key) for key in _init_fields(type(settings))}
+    named = {(key,) for key in documented}
+    named |= {(name, key) for name, section in documented.items() if isinstance(section, dict) for key in section}
+    assert named == keys

@@ -354,3 +354,48 @@ def test_values_past_python_limits_exit_2(tmp_path):
         transcripts = write(tmp_path / "t.jsonl", f'{{"words": [{{"text": "a", "start": {start}, "end": 1}}]}}\n')
         code, err = run(["segment", "pause", transcripts, "-o", out])
         assert code == 2 and f"{transcripts}:1: " in err, err
+
+
+#: Each setting that its dataclass range-checks: a bad config value, the
+#: command that reads it, and the flag that sets the same bad value (None
+#: where no flag can: a ``--vocab`` file is split into tokens).
+OUT_OF_RANGE = [
+    ("fixed_length: 0", ["segment", "fixed", "{docs}", "-o", "{out}"], ["--n", "0"]),
+    ("mixture_augmented_fraction: 2.0",
+     ["mix", "--corpus", "a={bitext}:{bitext}", "--weight", "a=1.0", "--total", "1", "-o", "{out}"],
+     ["--augmented-fraction", "2"]),
+    ("pause_split: {pause_threshold_sec: 0}", ["segment", "pause", "{transcripts}", "-o", "{out}"],
+     ["--threshold", "0"]),
+    ("pause_split: {max_tokens: 0}", ["segment", "pause", "{transcripts}", "-o", "{out}"],
+     ["--max-tokens", "0"]),
+    ("augmentation: {p_max: 0}", ["augment", "{bitext}", "-o", "{out}"], ["--p-max", "0"]),
+    ("bleu: {max_ngram_order: 0}", ["score", "{docs}", "{docs}", "--json", "{out}"], ["--max-order", "0"]),
+    ("bleu: {smoothing: x}", ["score", "{docs}", "{docs}", "--json", "{out}"], ["--smoothing", "x"]),
+    ("noise: {substitution_rate: 2}", ["simulate", "{docs}", "-o", "{out}"], ["--substitution-rate", "2"]),
+    ("noise: {deletion_rate: -1}", ["simulate", "{docs}", "-o", "{out}"], ["--deletion-rate", "-1"]),
+    ("noise: {insertion_rate: .nan}", ["simulate", "{docs}", "-o", "{out}"], ["--insertion-rate", "nan"]),
+    ("noise: {boundary_merge_rate: 2}", ["simulate", "{docs}", "-o", "{out}"], ["--merge-rate", "2"]),
+    ("noise: {boundary_split_rate: 2}", ["simulate", "{docs}", "-o", "{out}"], ["--split-rate", "2"]),
+    ('noise: {vocabulary: ["x y", ""], substitution_rate: 1.0}', ["simulate", "{docs}", "-o", "{out}"], None),
+    ('noise: {vocabulary: [a, ""]}', ["simulate", "{docs}", "-o", "{out}"], None),
+]
+
+
+@pytest.mark.parametrize("config, argv, flag", OUT_OF_RANGE, ids=[case[0] for case in OUT_OF_RANGE])
+def test_out_of_range_settings_exit_2_from_a_config_and_1_from_a_flag(tmp_path, config, argv, flag):
+    paths = {
+        "docs": write(tmp_path / "docs.txt", GOOD_DOCS),
+        "bitext": write(tmp_path / "bi.tsv", "a\tb\n"),
+        "transcripts": write(tmp_path / "t.jsonl", '{"words": [{"text": "a", "start": 0, "end": 1}]}\n'),
+        "out": str(tmp_path / "out"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    config_path = write(tmp_path / "config.yaml", config + "\n")
+    code, err = run(argv + ["--config", config_path])
+    assert code == 2, err
+    assert err.startswith(f"error: {config_path}: "), err
+    if flag is not None:
+        code, err = run(argv + flag)
+        assert code == 1, err
+        assert "internal error" not in err
+    assert not (tmp_path / "out").exists()

@@ -234,3 +234,9 @@ def test_rate_validation():
         NoiseConfig(substitution_rate=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(substitution_rate=0.6, deletion_rate=0.3, insertion_rate=0.2)
+
+
+@pytest.mark.parametrize("vocabulary", [("x y",), ("a", ""), (" a",), ("a\tb", "c"), ("a", "b\u3000c")])
+def test_vocabulary_entries_must_be_single_tokens(vocabulary):
+    with pytest.raises(ValueError, match="vocabulary entries must be single tokens"):
+        NoiseConfig(substitution_rate=1.0, vocabulary=vocabulary)

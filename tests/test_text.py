@@ -7,13 +7,11 @@ from segmt.text import (
     BoundarySet,
     NormalizationPolicy,
     SegmentedDocument,
-    detokenize,
     flatten,
     normalize,
     normalize_document,
     normalize_token,
     rebuild,
-    tokenize,
 )
 
 tokens_st = st.text(
@@ -21,24 +19,6 @@ tokens_st = st.text(
 )
 segment_st = st.lists(tokens_st, min_size=1, max_size=5)
 document_st = st.builds(SegmentedDocument, st.lists(segment_st, min_size=0, max_size=6))
-
-
-def test_tokenize_basic():
-    assert tokenize("the weather today") == ["the", "weather", "today"]
-
-
-def test_tokenize_empty():
-    assert tokenize("") == []
-    assert tokenize("   \t\n") == []
-
-
-def test_tokenize_whitespace_runs():
-    assert tokenize("  a\tb  ") == ["a", "b"]
-
-
-def test_detokenize_inverts_tokenize():
-    seg = ["a", "b,", "c!"]
-    assert tokenize(detokenize(seg)) == seg
 
 
 def test_normalize_strips_and_lowercases():
