@@ -3,12 +3,15 @@
 Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
 exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
-backtrace reads its options from those bits (Hyyro 2004), resolving cost
-ties with a fixed total order so identical inputs always produce identical
-edit scripts.  All aligners share one forward pass and one backtrace;
-projection reads positions off the backtrace, with no ``EditOp`` objects.
-The table of (b, a) is the transpose of that of (a, b), so ``variants``
-(``cross_project``) runs one forward pass and two backtraces.  The kept rows
+backtrace reads its options from those bits (Hyyro 2004).  The tie order
+is fixed: when costs tie, the backtrace takes match, then substitute, then
+delete, then insert, so identical inputs always produce identical edit
+scripts.  All aligners share one forward pass and one backtrace; projection
+reads positions off the backtrace, with no ``EditOp`` objects.  The table
+of (b, a) is the transpose of that of (a, b), so ``variants``
+(``cross_project``) runs one forward pass and two backtraces.  The one from
+b to a tries insert before delete: a's inserts are b's deletes, so it
+follows the tie order as aligning b to a would.  The kept rows
 limit one alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only
 the current row.  Boundary projection transfers segment boundaries from one
 transcript onto another transcript's tokens by following the alignment of
@@ -23,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .text import (
     InputError,
     NormalizationPolicy,
+    PUNCTUATED,
     STRIPPED,
     SegmentedDocument,
     flatten,
@@ -35,10 +39,6 @@ MATCH = "match"
 SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
-
-#: Backtrace preference when DP costs tie.  Any order over the four op kinds
-#: yields an optimal script; fixing one makes projection reproducible.
-DEFAULT_TIE_BREAK = (MATCH, SUBSTITUTE, DELETE, INSERT)
 
 #: Default comparison policy: case- and punctuation-insensitive matching, so
 #: transcripts that differ only in casing or punctuation conventions align.
@@ -78,32 +78,11 @@ class Alignment:
         return mapping
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Alignment behavior knobs.
-
-    ``normalize_for_alignment`` affects only how tokens are compared; any
-    projection built on the alignment still emits original target tokens.
-    """
-
-    normalize_for_alignment: NormalizationPolicy = ALIGNMENT_NORMALIZATION
-    tie_break: tuple = DEFAULT_TIE_BREAK
-
-    def __post_init__(self):
-        if sorted(self.tie_break) != sorted(DEFAULT_TIE_BREAK):
-            raise ValueError(f"tie_break must order all four op kinds, got {self.tie_break}")
-
-
-DEFAULT_CONFIG = AlignmentConfig()
-
 #: Size budget of one alignment in DP cells (tokens of a times tokens of b).
 #: The kept rows take three bits a cell: 30k x 30k tokens peak at 311 MiB, so
 #: this budget (about 45k x 45k) stays near 700 MiB.  A larger pair raises
 #: ``InputError`` before any row is kept; ``edit_distance`` needs no budget.
 MAX_ALIGN_CELLS = 2_000_000_000
-
-#: Compares tokens exactly as given (WER normalizes both sides beforehand).
-_PLAIN = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
 
 
 def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
@@ -168,62 +147,52 @@ def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     return a_keys, b_keys, diag, down, left
 
 
-def _backtrace(forward, tie_break: Sequence[str]) -> List[str]:
-    """Op kinds of the script from ``a`` to ``b``, last step first.
+def _backtrace(forward, b_to_a: bool = False) -> List[str]:
+    """Op kinds of the script from ``a`` to ``b``, last step first, in the tie order.
 
-    Cost ties go to the first feasible kind in ``tie_break``.  D of (b, a) is
-    the transpose of D of (a, b): its delete test is ``left``, its insert test
-    ``down``.  So with DELETE and INSERT swapped in ``tie_break`` the same
-    rows yield the script from ``b`` to ``a`` (in a's kinds).
+    D of (b, a) is the transpose of D of (a, b): its delete test is ``left``,
+    its insert test ``down``.  So with ``b_to_a`` the same rows yield the
+    script from ``b`` to ``a`` (in a's kinds).
     """
     a_keys, b_keys, diag, down, left = forward
     kinds: List[str] = []
     i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
-        for kind in tie_break:
-            if kind == MATCH:
-                # Equal tokens always give D[i][j] == D[i-1][j-1]: no cost check needed.
-                if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
-                    i, j = i - 1, j - 1
-                    break
-            elif kind == SUBSTITUTE:
-                if (
-                    i > 0
-                    and j > 0
-                    and a_keys[i - 1] != b_keys[j - 1]
-                    and not diag[i] >> (j - 1) & 1
-                ):
-                    i, j = i - 1, j - 1
-                    break
-            elif kind == DELETE:
-                if i > 0 and down[i] >> j & 1:
-                    i -= 1
-                    break
-            elif kind == INSERT:
-                if j > 0 and left[i] >> (j - 1) & 1:
-                    j -= 1
-                    break
+        # Equal tokens always give D[i][j] == D[i-1][j-1]: no cost check needed.
+        if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
+            kind = MATCH
+        elif i > 0 and j > 0 and not diag[i] >> (j - 1) & 1:
+            kind = SUBSTITUTE
+        elif not b_to_a and i > 0 and down[i] >> j & 1:
+            kind = DELETE
+        elif j > 0 and left[i] >> (j - 1) & 1:
+            kind = INSERT
+        elif i > 0 and down[i] >> j & 1:
+            kind = DELETE
         else:
             raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
+        i -= kind != INSERT
+        j -= kind != DELETE
         kinds.append(kind)
     return kinds
 
 
 def levenshtein_align(
-    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION
 ) -> Alignment:
     """Minimum-unit-cost edit script from token sequence ``a`` to ``b``.
 
-    Deterministic: DP cost ties are broken by ``cfg.tie_break``, so repeated
-    calls yield identical scripts.  The forward pass keeps three m-bit
-    vectors per row of ``a`` (see ``_forward``), from which the backtrace
-    reads every step's options in O(1) without materializing the cost table.
+    Deterministic: DP cost ties are broken in one fixed order (see the
+    module docstring), so repeated calls yield identical scripts.  The forward
+    pass keeps three m-bit vectors per row of ``a`` (see ``_forward``), from
+    which the backtrace reads every step's options in O(1) without
+    materializing the cost table.
     Raises ``InputError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
     """
-    forward = _forward(a, b, cfg.normalize_for_alignment)
+    forward = _forward(a, b, policy)
     ops: List[EditOp] = []
     i, j = len(a), len(b)
-    for kind in _backtrace(forward, cfg.tie_break):
+    for kind in _backtrace(forward):
         i -= kind != INSERT
         j -= kind != DELETE
         ops.append(EditOp(kind, None if kind == INSERT else i, None if kind == DELETE else j))
@@ -232,14 +201,14 @@ def levenshtein_align(
 
 
 def edit_distance(
-    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION
 ) -> int:
-    """Levenshtein distance under the config's comparison normalization.
+    """Levenshtein distance under the ``policy`` comparison normalization.
 
     Runs the bit-parallel forward pass keeping only the current row, so
     memory is O(len(b)).
     """
-    a_keys, b_keys = _comparison_keys(a, b, cfg.normalize_for_alignment)
+    a_keys, b_keys = _comparison_keys(a, b, policy)
     m = len(b_keys)
     score = m  # D[0][m]
     for _, hp, hn, _ in _rows(a_keys, b_keys):
@@ -256,7 +225,7 @@ def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int
     """
     ref = normalize(reference, STRIPPED)
     hyp = normalize(hypothesis, STRIPPED)
-    return edit_distance(ref, hyp, _PLAIN), len(ref)
+    return edit_distance(ref, hyp, PUNCTUATED), len(ref)
 
 
 def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
@@ -291,7 +260,7 @@ def _positions(kinds: List[str], source_only: str, boundaries: Sequence[int]) ->
 def project_positions(
     source_doc: SegmentedDocument,
     target_tokens: Sequence[str],
-    cfg: AlignmentConfig = DEFAULT_CONFIG,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> List[int]:
     """Map each source boundary to a target position, without collapsing.
 
@@ -302,14 +271,14 @@ def project_positions(
     a target counterpart.  Entries are non-decreasing.
     """
     src_tokens, boundaries = flatten(source_doc)
-    forward = _forward(src_tokens, target_tokens, cfg.normalize_for_alignment)
-    return _positions(_backtrace(forward, cfg.tie_break), DELETE, boundaries.positions)
+    forward = _forward(src_tokens, target_tokens, policy)
+    return _positions(_backtrace(forward), DELETE, boundaries.positions)
 
 
 def project_boundaries(
     source_doc: SegmentedDocument,
     target_tokens: Sequence[str],
-    cfg: AlignmentConfig = DEFAULT_CONFIG,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> SegmentedDocument:
     """Re-segment ``target_tokens`` with boundaries carried over from ``source_doc``.
 
@@ -318,7 +287,7 @@ def project_boundaries(
     position merge, and a final boundary after the last token is always
     present, so no empty segments are produced.
     """
-    positions = project_positions(source_doc, target_tokens, cfg)
+    positions = project_positions(source_doc, target_tokens, policy)
     return rebuild(
         target_tokens,
         (k for k in positions if k >= 0),
@@ -329,19 +298,18 @@ def project_boundaries(
 def cross_project(
     a_doc: SegmentedDocument,
     b_doc: SegmentedDocument,
-    cfg: AlignmentConfig = DEFAULT_CONFIG,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> Tuple[SegmentedDocument, SegmentedDocument]:
     """``project_boundaries(a_doc, b_tokens)`` and ``(b_doc, a_tokens)``, from one forward pass.
 
-    The (a, b) rows are backtraced twice: with ``cfg.tie_break``, and with
-    DELETE and INSERT swapped, which follows the script from b to a.
+    The (a, b) rows are backtraced twice: once from a to b, and once with
+    ``b_to_a``, which follows the script from b to a.
     """
     a_tokens, a_bounds = flatten(a_doc)
     b_tokens, b_bounds = flatten(b_doc)
-    forward = _forward(a_tokens, b_tokens, cfg.normalize_for_alignment)
-    swapped = tuple({DELETE: INSERT, INSERT: DELETE}.get(k, k) for k in cfg.tie_break)
-    on_b = _positions(_backtrace(forward, cfg.tie_break), DELETE, a_bounds.positions)
-    on_a = _positions(_backtrace(forward, swapped), INSERT, b_bounds.positions)
+    forward = _forward(a_tokens, b_tokens, policy)
+    on_b = _positions(_backtrace(forward), DELETE, a_bounds.positions)
+    on_a = _positions(_backtrace(forward, b_to_a=True), INSERT, b_bounds.positions)
     return (
         rebuild(b_tokens, (k for k in on_b if k >= 0), doc_id=a_doc.doc_id),
         rebuild(a_tokens, (k for k in on_a if k >= 0), doc_id=b_doc.doc_id),

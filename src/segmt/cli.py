@@ -211,7 +211,7 @@ def cmd_variants(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed, 0)
+    seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed)
     aug_cfg = _overlay(cfg.augmentation, p_max=args.p_max, seed=seed)
     blocks = read_bitext_lines(_path(args, cfg, "input"))
     results = augment_blocks(blocks, aug_cfg, merge=augment_line)
@@ -224,7 +224,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_mix(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.seed, 0)
+    seed = _first_set(args.seed, cfg.seed)
     cfg = _overlay(cfg, mixture_augmented_fraction=args.augmented_fraction)
     if args.total < 0:
         raise UsageError("--total must be >= 0")
@@ -287,14 +287,13 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
         report = score_documents(hyp_docs, ref_docs, bleu_cfg, cfg.alignment)
     else:
         # Plain scoring pairs segments 1:1, so both sides must be cut alike.
-        for hyp, ref in zip(hyp_docs, ref_docs):
+        for hyp, ref in paired_documents(hyp_docs, ref_docs):
             if len(hyp.segments) != len(ref.segments):
                 raise InputError(
                     f"segment count mismatch in document {ref.doc_id}: {len(hyp.segments)} "
                     f"hypothesis vs {len(ref.segments)} reference (--resegment scores across "
                     "segmentations)"
                 )
-        paired_documents(hyp_docs, ref_docs)  # refuses unequal document counts
         hyp_segments = [seg for doc in hyp_docs for seg in doc.segments]
         ref_segments = [seg for doc in ref_docs for seg in doc.segments]
         report = corpus_bleu(hyp_segments, ref_segments, bleu_cfg)
@@ -323,7 +322,7 @@ def cmd_wer(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.noise.seed, cfg.seed, 0)
+    seed = _first_set(args.seed, cfg.noise.seed, cfg.seed)
     noise_cfg = _overlay(
         cfg.noise,
         substitution_rate=args.substitution_rate,
@@ -348,7 +347,7 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
 def cmd_report(args, cfg: PipelineConfig) -> int:
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
-    result = bucket_report(hyp_docs, ref_docs, args.bounds, align_cfg=cfg.alignment)
+    result = bucket_report(hyp_docs, ref_docs, args.bounds, policy=cfg.alignment)
     print(f"{'bucket':<12}{'count':>8}{'mean BLEU':>12}")
     for bucket in result.buckets:
         label = f"[{bucket.lower},{bucket.upper})"

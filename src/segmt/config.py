@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .align import AlignmentConfig
+from .align import ALIGNMENT_NORMALIZATION
 from .augment import AugmentationConfig
 from .bleu import BleuConfig
 from .noise import NoiseConfig
@@ -33,7 +33,7 @@ class PipelineConfig:
     normalization: NormalizationPolicy = NormalizationPolicy(
         strip_punctuation=True, lowercase=True, strip_symbols=True
     )
-    alignment: AlignmentConfig = AlignmentConfig()
+    alignment: NormalizationPolicy = ALIGNMENT_NORMALIZATION  # how alignment compares tokens
     pause_split: PauseSplitConfig = PauseSplitConfig()
     fixed_length: int = 10
     augmentation: AugmentationConfig = AugmentationConfig()
@@ -61,13 +61,11 @@ def _init_fields(cls) -> dict:
 
 def _sections(cfg: PipelineConfig) -> dict:
     """Each section's name and the settings in ``cfg`` that its keys replace fields of."""
-    sections = {
+    return {
         name: getattr(cfg, name)
         for name, kind in _init_fields(PipelineConfig).items()
         if is_dataclass(kind)
     }
-    sections["alignment"] = cfg.alignment.normalize_for_alignment  # how alignment compares tokens
-    return sections
 
 
 def _admits(kind, value) -> bool:
@@ -126,6 +124,4 @@ def load_config(path) -> PipelineConfig:
             if not isinstance(section, dict):
                 raise ConfigError(f"{path}: section {name!r} must be a mapping")
             raw[name] = _replace(path, settings, section, name)
-    if "alignment" in raw:
-        raw["alignment"] = replace(default.alignment, normalize_for_alignment=raw["alignment"])
     return _replace(path, default, raw)

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .align import AlignmentConfig, DEFAULT_CONFIG as DEFAULT_ALIGN, cross_project, project_positions
+from .align import ALIGNMENT_NORMALIZATION, cross_project, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
-from .text import SegmentedDocument, flatten, paired_documents
+from .text import NormalizationPolicy, SegmentedDocument, flatten, paired_documents
 
 #: Reference-length bucket bounds used by the length breakdown, as
 #: (inclusive lower, exclusive upper) pairs.
@@ -59,12 +59,12 @@ class LengthBucketReport:
 def make_error_variants(
     gold: SegmentedDocument,
     system: SegmentedDocument,
-    cfg: AlignmentConfig = DEFAULT_ALIGN,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> ErrorVariantSet:
     """Isolate token errors from boundary errors by cross-projection."""
     if not gold.segments or not system.segments:
         raise ValueError("error variants need non-empty gold and system documents")
-    recognition, segmentation = cross_project(gold, system, cfg)
+    recognition, segmentation = cross_project(gold, system, policy)
     return ErrorVariantSet(
         gold=gold,
         system=system,
@@ -76,7 +76,7 @@ def make_error_variants(
 def resegment_hypothesis(
     hyp_doc: SegmentedDocument,
     ref_doc: SegmentedDocument,
-    align_cfg: AlignmentConfig = DEFAULT_ALIGN,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> List[List[str]]:
     """Cut the hypothesis token stream into one piece per reference segment.
 
@@ -86,7 +86,7 @@ def resegment_hypothesis(
     the hypothesis tokens.  The final piece always extends to the end.
     """
     hyp_tokens, _ = flatten(hyp_doc)
-    positions = project_positions(ref_doc, hyp_tokens, align_cfg)
+    positions = project_positions(ref_doc, hyp_tokens, policy)
     if positions:
         positions[-1] = len(hyp_tokens) - 1
     pieces: List[List[str]] = []
@@ -102,22 +102,22 @@ def score_documents(
     hyp_docs: Sequence[SegmentedDocument],
     ref_docs: Sequence[SegmentedDocument],
     cfg: BleuConfig = DEFAULT_BLEU,
-    align_cfg: AlignmentConfig = DEFAULT_ALIGN,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> BleuReport:
     """Resegment each hypothesis document and score the pooled corpus."""
-    hyp_segments, ref_segments = _paired_segments(hyp_docs, ref_docs, align_cfg)
+    hyp_segments, ref_segments = _paired_segments(hyp_docs, ref_docs, policy)
     return corpus_bleu(hyp_segments, ref_segments, cfg)
 
 
 def _paired_segments(
     hyp_docs: Sequence[SegmentedDocument],
     ref_docs: Sequence[SegmentedDocument],
-    align_cfg: AlignmentConfig,
+    policy: NormalizationPolicy,
 ) -> Tuple[List[List[str]], List[List[str]]]:
     hyp_segments: List[List[str]] = []
     ref_segments: List[List[str]] = []
     for hyp_doc, ref_doc in paired_documents(hyp_docs, ref_docs):
-        hyp_segments.extend(resegment_hypothesis(hyp_doc, ref_doc, align_cfg))
+        hyp_segments.extend(resegment_hypothesis(hyp_doc, ref_doc, policy))
         ref_segments.extend(ref_doc.segments)
     return hyp_segments, ref_segments
 
@@ -127,7 +127,7 @@ def bucket_report(
     ref_docs,
     bounds: Sequence[Tuple[int, int]] = DEFAULT_BUCKET_BOUNDS,
     cfg: BleuConfig = SENTENCE_CONFIG,
-    align_cfg: AlignmentConfig = DEFAULT_ALIGN,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> LengthBucketReport:
     """Per-length-bucket mean sentence BLEU after resegmentation.
 
@@ -142,7 +142,7 @@ def bucket_report(
     if isinstance(ref_docs, SegmentedDocument):
         ref_docs = [ref_docs]
     _validate_bounds(bounds)
-    hyp_segments, ref_segments = _paired_segments(hyp_docs, ref_docs, align_cfg)
+    hyp_segments, ref_segments = _paired_segments(hyp_docs, ref_docs, policy)
 
     sums = [0.0] * len(bounds)
     counts = [0] * len(bounds)

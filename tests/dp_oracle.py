@@ -2,29 +2,38 @@
 
 This is the aligner the package used before the bit-parallel core: an
 (n+1) x (m+1) int32 cost table filled row by row, and a backtrace that
-reads neighbouring cells of the table and breaks cost ties with
-``cfg.tie_break``.  It is slow and memory-hungry (4 bytes per cell) but
-obviously correct, so the differential tests compare the package against
-it on small inputs.
+reads neighbouring cells of the table and breaks cost ties in a given order
+of the four op kinds, by default the package's fixed ``TIE_ORDER``.  It is
+slow and memory-hungry (4 bytes per cell) but obviously correct, so the
+differential tests compare the package against it on small inputs.  In
+its other 23 orders it may pick other optimal scripts, which must cost the
+same (``assert_tie_order_keeps_the_cost``).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence
 
 import numpy as np
 
 from segmt.align import (
-    DEFAULT_CONFIG,
+    ALIGNMENT_NORMALIZATION,
     DELETE,
     INSERT,
     MATCH,
     SUBSTITUTE,
     Alignment,
-    AlignmentConfig,
     EditOp,
+    edit_distance,
 )
 from segmt.text import NormalizationPolicy, SegmentedDocument, flatten, normalize_token, rebuild
+
+#: The package's tie order: match, then substitute, then delete, then insert.
+TIE_ORDER = (MATCH, SUBSTITUTE, DELETE, INSERT)
+
+#: Every total order of the four op kinds; ``TIE_ORDERS[0]`` is ``TIE_ORDER``.
+TIE_ORDERS = list(itertools.permutations(TIE_ORDER))
 
 
 def _token_ids(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
@@ -64,16 +73,22 @@ def cost_table(a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
 
 
 def oracle_align(
-    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    a: Sequence[str],
+    b: Sequence[str],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+    tie_break: Sequence[str] = TIE_ORDER,
 ) -> Alignment:
-    """Minimum-unit-cost edit script from ``a`` to ``b``, read off the full table."""
-    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
+    """Minimum-unit-cost edit script from ``a`` to ``b``, read off the full table.
+
+    Cost ties go to the first feasible kind in ``tie_break``.
+    """
+    a_ids, b_ids = _token_ids(a, b, policy)
     table = cost_table(a_ids, b_ids)
     ops: List[EditOp] = []
     i, j = len(a_ids), len(b_ids)
     while i > 0 or j > 0:
         cost = table[i, j]
-        for kind in cfg.tie_break:
+        for kind in tie_break:
             if kind == MATCH:
                 if (
                     i > 0
@@ -110,16 +125,32 @@ def oracle_align(
     return Alignment(ops, len(a_ids), len(b_ids))
 
 
+def assert_tie_order_keeps_the_cost(
+    a: Sequence[str],
+    b: Sequence[str],
+    tie_break: Sequence[str],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+) -> None:
+    """The oracle's script in ``tie_break`` costs the package's ``edit_distance``.
+
+    A tie order only chooses among optimal scripts, which is why the package
+    can fix one without changing any distance or WER.
+    """
+    assert oracle_align(a, b, policy, tie_break).distance() == edit_distance(a, b, policy)
+
+
 def oracle_distance(
-    a: Sequence[str], b: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION
 ) -> int:
     """The corner cell of the full cost table."""
-    a_ids, b_ids = _token_ids(a, b, cfg.normalize_for_alignment)
+    a_ids, b_ids = _token_ids(a, b, policy)
     return int(cost_table(a_ids, b_ids)[-1, -1])
 
 
 def oracle_positions(
-    source_doc: SegmentedDocument, target_tokens: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    source_doc: SegmentedDocument,
+    target_tokens: Sequence[str],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> List[int]:
     """``project_positions`` from the oracle script's ``target_index_of()``.
 
@@ -128,7 +159,7 @@ def oracle_positions(
     """
     tokens, boundaries = flatten(source_doc)
     nearest, last = [], -1
-    for target in oracle_align(tokens, target_tokens, cfg).target_index_of():
+    for target in oracle_align(tokens, target_tokens, policy).target_index_of():
         if target is not None:
             last = target
         nearest.append(last)
@@ -136,8 +167,10 @@ def oracle_positions(
 
 
 def oracle_projection(
-    source_doc: SegmentedDocument, target_tokens: Sequence[str], cfg: AlignmentConfig = DEFAULT_CONFIG
+    source_doc: SegmentedDocument,
+    target_tokens: Sequence[str],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> SegmentedDocument:
     """``project_boundaries`` built on ``oracle_positions``."""
-    positions = oracle_positions(source_doc, target_tokens, cfg)
+    positions = oracle_positions(source_doc, target_tokens, policy)
     return rebuild(target_tokens, (k for k in positions if k >= 0), doc_id=source_doc.doc_id)

@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from segmt import (
-    AlignmentConfig,
     AugmentationConfig,
     BitextPair,
     MATCH,
@@ -54,7 +53,7 @@ from segmt import (
 from segmt.cli import main as cli_main
 
 # Identity comparison policy: tokens are compared literally.
-PLAIN = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
+PLAIN = NormalizationPolicy()
 
 
 def random_tokens(rng, n):

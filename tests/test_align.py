@@ -4,17 +4,23 @@ import tracemalloc
 import numpy as np
 import pytest
 import segmt.align
-from dp_oracle import oracle_align, oracle_distance, oracle_positions, oracle_projection
+from dp_oracle import (
+    TIE_ORDERS,
+    assert_tie_order_keeps_the_cost,
+    oracle_align,
+    oracle_distance,
+    oracle_positions,
+    oracle_projection,
+)
 from hypothesis import given, settings, strategies as st
 
 from segmt.align import (
-    DEFAULT_TIE_BREAK,
+    ALIGNMENT_NORMALIZATION,
     DELETE,
     INSERT,
     MATCH,
     SUBSTITUTE,
     Alignment,
-    AlignmentConfig,
     cross_project,
     edit_distance,
     levenshtein_align,
@@ -26,7 +32,7 @@ from segmt.align import (
 from segmt.text import NormalizationPolicy, SegmentedDocument, flatten
 
 #: Compare tokens literally, with no case or punctuation folding.
-PLAIN = AlignmentConfig(normalize_for_alignment=NormalizationPolicy())
+PLAIN = NormalizationPolicy()
 
 token_seq_st = st.lists(st.sampled_from(["a", "b", "c"]), max_size=8)
 
@@ -139,26 +145,35 @@ def test_alignment_empty_keys_match_positionally():
     assert edit_distance(["...", "a"], ["!!!", "a"]) == 0
 
 
-#: Every total order of the four op kinds, as ``cfg.tie_break`` accepts them.
-TIE_ORDERS = list(itertools.permutations(DEFAULT_TIE_BREAK))
+def test_cost_ties_go_to_match_then_substitute_then_delete_then_insert():
+    def script(a, b):
+        return [op.kind for op in levenshtein_align(a.split(), b.split()).ops]
+
+    assert script("a a", "a") == [DELETE, MATCH]  # the last "a" matches
+    assert script("a b", "b c") == [SUBSTITUTE, SUBSTITUTE]  # not DELETE, MATCH, INSERT
+    assert script("a b a", "b a b") == [INSERT, MATCH, MATCH, DELETE]  # the last step deletes
 
 
-def assert_matches_oracle(a, b, cfg):
-    """The bit-parallel aligner equals the full-table DP: script and corner cell."""
-    assert levenshtein_align(a, b, cfg) == oracle_align(a, b, cfg)
-    assert edit_distance(a, b, cfg) == oracle_distance(a, b, cfg)
+def assert_matches_oracle(a, b, policy, tie_break):
+    """The bit-parallel aligner equals the full-table DP in the package's tie
+    order (script and corner cell), and the DP's script in ``tie_break`` costs
+    the same."""
+    assert levenshtein_align(a, b, policy) == oracle_align(a, b, policy)
+    assert edit_distance(a, b, policy) == oracle_distance(a, b, policy)
+    assert_tie_order_keeps_the_cost(a, b, tie_break, policy)
 
 
+# Each of the 24 tie orders of the oracle is one case; every case compares
+# the package with the oracle in the package's order on its own examples.
 @pytest.mark.parametrize("tie_break", TIE_ORDERS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_align_matches_full_table_oracle(tie_break, data):
-    # Alphabets of 1-3 symbols make ties common, so every tie order matters.
+    # Alphabets of 1-3 symbols make ties common, so the tie order matters.
     alphabet = ["a", "b", "c"][: data.draw(st.integers(1, 3), label="alphabet size")]
     tokens = st.lists(st.sampled_from(alphabet), max_size=40)
     a, b = data.draw(tokens, label="a"), data.draw(tokens, label="b")
-    cfg = AlignmentConfig(normalize_for_alignment=NormalizationPolicy(), tie_break=tie_break)
-    assert_matches_oracle(a, b, cfg)
+    assert_matches_oracle(a, b, PLAIN, tie_break)
 
 
 @pytest.mark.parametrize("tie_break", TIE_ORDERS)
@@ -169,14 +184,13 @@ def test_align_matches_full_table_oracle(tie_break, data):
 )
 def test_align_matches_oracle_with_empty_keys(tie_break, a, b):
     # "..." and "!!!" normalize to the empty key and match each other.
-    assert_matches_oracle(a, b, AlignmentConfig(tie_break=tie_break))
+    assert_matches_oracle(a, b, ALIGNMENT_NORMALIZATION, tie_break)
 
 
 @pytest.mark.parametrize("tie_break", TIE_ORDERS)
 def test_align_matches_oracle_on_empty_sides(tie_break):
-    cfg = AlignmentConfig(tie_break=tie_break)
     for a, b in [([], []), ([], ["x", "y"]), (["x", "y", "z"], []), (["..."], []), ([], ["!!!"])]:
-        assert_matches_oracle(a, b, cfg)
+        assert_matches_oracle(a, b, ALIGNMENT_NORMALIZATION, tie_break)
 
 
 #: "..." has the empty comparison key; "A," has the key of "a".
@@ -204,22 +218,24 @@ def test_project_positions_matches_oracle(tie_break, data):
     alphabet = draw_alphabet(data)
     source = data.draw(documents(alphabet), label="source")
     target = data.draw(st.lists(st.sampled_from(alphabet), max_size=20), label="target")
-    cfg = AlignmentConfig(tie_break=tie_break)
-    assert project_positions(source, target, cfg) == oracle_positions(source, target, cfg)
+    assert project_positions(source, target) == oracle_positions(source, target)
+    assert_tie_order_keeps_the_cost(source.tokens(), target, tie_break)
 
 
 @pytest.mark.parametrize("tie_break", TIE_ORDERS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cross_project_matches_oracle_in_both_directions(tie_break, data):
-    # The second backtrace over the (a, b) rows must equal aligning b to a.
+    # The second backtrace over the (a, b) rows, insert before delete, must
+    # equal aligning b to a in the fixed order.
     alphabet = draw_alphabet(data)
     a_doc = data.draw(documents(alphabet), label="a")
     b_doc = data.draw(documents(alphabet), label="b")
-    cfg = AlignmentConfig(tie_break=tie_break)
-    on_b, on_a = cross_project(a_doc, b_doc, cfg)
-    assert on_b == oracle_projection(a_doc, b_doc.tokens(), cfg)
-    assert on_a == oracle_projection(b_doc, a_doc.tokens(), cfg)
+    on_b, on_a = cross_project(a_doc, b_doc)
+    assert on_b == oracle_projection(a_doc, b_doc.tokens())
+    assert on_a == oracle_projection(b_doc, a_doc.tokens())
+    assert_tie_order_keeps_the_cost(a_doc.tokens(), b_doc.tokens(), tie_break)
+    assert_tie_order_keeps_the_cost(b_doc.tokens(), a_doc.tokens(), tie_break)
 
 
 def test_alignment_over_budget_fails_before_any_row(monkeypatch):
@@ -272,11 +288,6 @@ def test_edit_distance_memory_is_linear():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert 0 < distance < len(a)
-
-
-def test_alignment_config_validation():
-    with pytest.raises(ValueError):
-        AlignmentConfig(tie_break=(MATCH, MATCH, DELETE, INSERT))
 
 
 def test_wer_identical():

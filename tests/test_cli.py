@@ -187,11 +187,10 @@ def test_score_plain_rejects_segments_paired_across_documents(tmp_path, capsys):
     # Same flattened segment count, but hypothesis document doc0 holds two
     # segments where the reference's doc0 holds one.
     hyp = write_lines(tmp_path / "hyp.txt", "a b\nc d\n\ne f\n")
-    ref = write_lines(tmp_path / "ref.txt", "a b\n\nc d\n\ne f\n")
+    ref = write_lines(tmp_path / "ref.txt", "a b\n\nc d\ne f\n")
     assert main(["score", hyp, ref]) == 2
     err = capsys.readouterr().err
     assert "mismatch" in err and "doc0" in err
-    assert main(["report", hyp, ref]) == 2
 
 
 def test_score_plain_rejects_document_count_mismatch(tmp_path, capsys):
@@ -200,6 +199,21 @@ def test_score_plain_rejects_document_count_mismatch(tmp_path, capsys):
     assert main(["score", hyp, ref]) == 2
     err = capsys.readouterr().err
     assert "document count mismatch" in err and "doc2" in err
+
+
+def test_score_plain_checks_document_counts_before_segment_counts(tmp_path, capsys):
+    # doc0 differs in segment count too, yet plain `score` reports the unequal
+    # document count first, as `report` and `wer` do on the same files.
+    hyp = write_lines(tmp_path / "hyp.txt", "a b\nc d\n\ne f\n")
+    ref = write_lines(tmp_path / "ref.txt", "a b c d\n")
+    for argv, counts in [
+        (["score", hyp, ref], "2 vs 1"),
+        (["report", hyp, ref], "2 vs 1"),
+        (["wer", ref, hyp], "1 vs 2"),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"document count mismatch: {counts} documents; first unpaired document doc1" in err
 
 
 def test_wer_output(tmp_path, capsys):

@@ -49,9 +49,9 @@ def test_load_full_config(tmp_path):
     assert cfg.input_path == "in.txt"
     assert cfg.normalization.strip_punctuation is False
     assert cfg.normalization.lowercase is True
-    assert cfg.alignment.normalize_for_alignment.lowercase is False
+    assert cfg.alignment.lowercase is False
     # Unset alignment keys keep their defaults.
-    assert cfg.alignment.normalize_for_alignment.strip_punctuation is True
+    assert cfg.alignment.strip_punctuation is True
     assert cfg.pause_split.pause_threshold_sec == 0.8
     assert cfg.pause_split.max_tokens == 70
     assert cfg.augmentation.p_max == 0.25

@@ -1,12 +1,10 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from dp_oracle import oracle_projection
+from dp_oracle import TIE_ORDERS, assert_tie_order_keeps_the_cost, oracle_projection
 from hypothesis import given, settings, strategies as st
 
-from segmt.align import DEFAULT_TIE_BREAK, AlignmentConfig
 from segmt.bleu import BleuConfig
 from segmt.evaluate import (
     DEFAULT_BUCKET_BOUNDS,
@@ -66,7 +64,7 @@ def test_error_variants_token_preservation():
         assert variants.segmentation_errors.tokens() == gold.tokens()
 
 
-@pytest.mark.parametrize("tie_break", list(itertools.permutations(DEFAULT_TIE_BREAK)))
+@pytest.mark.parametrize("tie_break", TIE_ORDERS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_error_variants_match_oracle_projections(tie_break, data):
@@ -79,10 +77,11 @@ def test_error_variants_match_oracle_projections(tie_break, data):
     segment = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)
     document = st.lists(segment, min_size=1, max_size=8).map(SegmentedDocument)
     gold, system = data.draw(document, label="gold"), data.draw(document, label="system")
-    cfg = AlignmentConfig(tie_break=tie_break)
-    variants = make_error_variants(gold, system, cfg)
-    assert variants.recognition_errors.segments == oracle_projection(gold, system.tokens(), cfg).segments
-    assert variants.segmentation_errors.segments == oracle_projection(system, gold.tokens(), cfg).segments
+    variants = make_error_variants(gold, system)
+    assert variants.recognition_errors.segments == oracle_projection(gold, system.tokens()).segments
+    assert variants.segmentation_errors.segments == oracle_projection(system, gold.tokens()).segments
+    assert_tie_order_keeps_the_cost(gold.tokens(), system.tokens(), tie_break)
+    assert_tie_order_keeps_the_cost(system.tokens(), gold.tokens(), tie_break)
 
 
 def test_error_variants_reject_empty():

@@ -11,7 +11,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import segmt.align
 from segmt.cli import main
@@ -69,13 +69,25 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(printable, inner, max_size=3),
     max_leaves=6,
 )
+
+
+def is_time(text, end=1.0):
+    """Whether ``float()`` reads ``text`` as a start time in [0, end] (README's rule)."""
+    try:
+        return 0 <= float(text) <= end  # NaN is not
+    except ValueError:
+        return False
+
+
 bad_word = st.one_of(
     json_values,
     st.fixed_dictionaries({"text": st.just("a")}),
     st.fixed_dictionaries({"text": st.sampled_from(["", "a b", " a"]), "start": st.just(0), "end": st.just(1)}),
     st.fixed_dictionaries({"text": st.just("a"), "start": st.just(2), "end": st.just(1)}),
     st.fixed_dictionaries({"text": st.just("a"), "start": st.just(-1), "end": st.just(1)}),
-    st.fixed_dictionaries({"text": st.just("a"), "start": printable, "end": st.just(1)}),
+    st.fixed_dictionaries(
+        {"text": st.just("a"), "start": printable.filter(lambda s: not is_time(s)), "end": st.just(1)}
+    ),
 )
 SCALARS = {
     "seed": st.one_of(st.booleans(), st.floats(), printable, st.lists(st.integers(), max_size=2)),
@@ -175,6 +187,20 @@ def test_malformed_files_exit_1_or_2_naming_the_file(tmp_path, case, data):
     assert bad in err
 
 
+@example(start="0")
+@example(start=" 1 ")
+@example(start="2")
+@example(start="nan")
+@given(start=printable)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_start_times_are_read_with_float(tmp_path, start):
+    # "transcripts bad words" draws only the start strings that is_time refuses.
+    path = tmp_path / "words.jsonl"
+    path.write_text(json.dumps({"words": [{"text": "a", "start": start, "end": 1}]}), encoding="utf-8")
+    code, err = run(["segment", "pause", str(path), "-o", str(tmp_path / "out")])
+    assert code == (0 if is_time(start) else 2), err
+
+
 @given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6), split=st.integers(0, 5),
        command=st.sampled_from(sorted(PAIRING)))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -193,7 +219,7 @@ def test_mismatched_document_counts_exit_2_naming_the_document(tmp_path, sizes, 
 
 
 def test_value_error_inside_the_library_exits_3(tmp_path, monkeypatch):
-    def broken(forward, tie_break):
+    def broken(forward, b_to_a=False):
         raise ValueError("backtrace bug")
 
     backtrace, forward = segmt.align._backtrace, segmt.align._forward
