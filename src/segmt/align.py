@@ -3,19 +3,23 @@
 Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
 exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
-backtrace reads its options from those bits (Hyyro 2004).  The tie order
-is fixed: when costs tie, the backtrace takes match, then substitute, then
-delete, then insert, so identical inputs always produce identical edit
-scripts.  All aligners share one forward pass and one backtrace; projection
-reads positions off the backtrace, with no ``EditOp`` objects.  The table
-of (b, a) is the transpose of that of (a, b), so ``variants``
-(``cross_project``) runs one forward pass and two backtraces.  The one from
-b to a tries insert before delete: a's inserts are b's deletes, so it
-follows the tie order as aligning b to a would.  The kept rows
-limit one alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only
-the current row.  Boundary projection transfers segment boundaries from one
-transcript onto another transcript's tokens by following the alignment of
-the token immediately before each boundary.
+backtrace reads its options from those bits (Hyyro 2004).  Tokens are
+compared by their keys under a ``NormalizationPolicy``, read from that
+policy's memo in ``text.KEY_MEMOS``, so each distinct token is normalized
+once per process, not once per call.  The tie order is fixed: when costs
+tie, the backtrace takes match, then substitute, then delete, then insert,
+so identical inputs always produce identical edit scripts.  All aligners
+share one forward pass and one backtrace; projection reads positions off
+the backtrace, with no ``EditOp`` objects.  The table of (b, a) is the
+transpose of that of (a, b), so ``variants`` (``cross_project``) runs one
+forward pass and two backtraces.  The one from b to a tries insert before
+delete: a's inserts are b's deletes, so it follows the tie order as
+aligning b to a would.  The recurrence runs in one loop (``_myers``).  The
+kept rows limit one alignment to ``MAX_ALIGN_CELLS`` cells; distance alone
+keeps only the current row and reads the distance off the last one.
+Boundary projection transfers segment boundaries from one transcript onto
+another transcript's tokens by following the alignment of the token
+immediately before each boundary.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .text import (
     InputError,
+    KEY_MEMOS,
     NormalizationPolicy,
     PUNCTUATED,
     STRIPPED,
     SegmentedDocument,
     flatten,
     normalize,
-    normalize_token,
     rebuild,
 )
 
@@ -90,33 +94,40 @@ def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPo
 
     Every token keeps its position: a token whose key normalizes to the
     empty string still occupies a slot (and matches other empty-key tokens),
-    which is what keeps projection anchored to original positions.  Each
-    distinct token is normalized once.
+    which is what keeps projection anchored to original positions.  Keys are
+    read from the policy's memo in ``text.KEY_MEMOS``, so each distinct token
+    is normalized once per process, not once per call.
     """
-    key_of = {tok: normalize_token(tok, policy) for tok in {*a, *b}}
-    return [key_of[tok] for tok in a], [key_of[tok] for tok in b]
+    key = KEY_MEMOS[policy].__getitem__
+    return list(map(key, a)), list(map(key, b))
 
 
-def _rows(a_keys: Sequence[str], b_keys: Sequence[str]):
-    """Yield one row of the Levenshtein table D per token of ``a``, as bit vectors.
+def _myers(a_keys: Sequence[str], b_keys: Sequence[str], rows=None) -> int:
+    """Levenshtein distance D[n][m] of the keys, by Myers' bit-parallel recurrence.
 
-    Myers' bit-parallel recurrence (JACM 46(3), 1999) in its global form:
-    Python ints serve as m-bit vectors over the columns of ``b``, and
-    ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison key k.  For
-    row i the generator yields ``(d0, hp, hn, vp)``:
+    Myers' recurrence (JACM 46(3), 1999) in its global form runs once per
+    token of ``a``: Python ints serve as m-bit vectors over the columns of
+    ``b``, and ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison key
+    k.  Row i of D gives
 
     * ``d0`` bit j-1: D[i][j] == D[i-1][j-1] (diagonal step costs nothing);
     * ``hp`` / ``hn`` bit j: D[i][j] - D[i-1][j] is +1 / -1; bit 0 is the
       left border, where the difference is always +1;
-    * ``vp`` bit j-1: D[i][j] - D[i][j-1] is +1.
+    * ``vp`` / ``vn`` bit j-1: D[i][j] - D[i][j-1] is +1 / -1.
 
     Each row costs a fixed number of big-int operations on m-bit values.
+    With ``rows`` = ``(diag, down, left)``, three lists, row i's ``d0``,
+    ``hp`` and ``vp`` are appended to them; otherwise only the current row
+    is kept.  D[n][0] = n, so the distance is n plus the last row's +1 steps
+    minus its -1 steps.
     """
     m = len(b_keys)
     mask = (1 << m) - 1
     peq: dict = {}
     for j, t in enumerate(b_keys):
         peq[t] = peq.get(t, 0) | 1 << j
+    if rows is not None:
+        keep_diag, keep_down, keep_left = (kept.append for kept in rows)
     vp, vn = mask, 0  # row 0: D[0][j] = j
     for t in a_keys:
         x = peq.get(t, 0) | vn
@@ -125,13 +136,17 @@ def _rows(a_keys: Sequence[str], b_keys: Sequence[str]):
         hn = (vp & d0) << 1
         vp = (hn | (d0 | hp) ^ mask) & mask
         vn = hp & d0
-        yield d0, hp, hn, vp
+        if rows is not None:
+            keep_diag(d0)
+            keep_down(hp)
+            keep_left(vp)
+    return len(a_keys) + vp.bit_count() - vn.bit_count()
 
 
 def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     """``(a_keys, b_keys, diag, down, left)``: per row i of D, ``diag`` bit j-1
     is D[i][j] == D[i-1][j-1], ``down`` bit j is D[i][j] == D[i-1][j] + 1 and
-    ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_rows``)."""
+    ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_myers``)."""
     if len(a) * len(b) > MAX_ALIGN_CELLS:
         raise InputError(
             f"alignment of {len(a)} x {len(b)} tokens exceeds the budget of "
@@ -140,10 +155,7 @@ def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     a_keys, b_keys = _comparison_keys(a, b, policy)
     # Row 0 (before any token of a): only inserts, every D[0][j] - D[0][j-1] = +1.
     diag, down, left = [0], [0], [(1 << len(b_keys)) - 1]
-    for d0, hp, _, vp in _rows(a_keys, b_keys):
-        diag.append(d0)
-        down.append(hp)
-        left.append(vp)
+    _myers(a_keys, b_keys, (diag, down, left))
     return a_keys, b_keys, diag, down, left
 
 
@@ -206,14 +218,9 @@ def edit_distance(
     """Levenshtein distance under the ``policy`` comparison normalization.
 
     Runs the bit-parallel forward pass keeping only the current row, so
-    memory is O(len(b)).
+    memory is O(len(b)); the distance is read off the last row.
     """
-    a_keys, b_keys = _comparison_keys(a, b, policy)
-    m = len(b_keys)
-    score = m  # D[0][m]
-    for _, hp, hn, _ in _rows(a_keys, b_keys):
-        score += (hp >> m & 1) - (hn >> m & 1)
-    return score
+    return _myers(*_comparison_keys(a, b, policy))
 
 
 def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int, int]:

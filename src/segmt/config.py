@@ -18,7 +18,7 @@ from .augment import AugmentationConfig
 from .bleu import BleuConfig
 from .noise import NoiseConfig
 from .segment import PauseSplitConfig
-from .text import InputError, NormalizationPolicy
+from .text import InputError, NormalizationPolicy, STRIPPED
 
 ENV_CONFIG_PATH = "SEGMT_CONFIG"
 
@@ -30,9 +30,7 @@ class ConfigError(InputError):
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    normalization: NormalizationPolicy = NormalizationPolicy(
-        strip_punctuation=True, lowercase=True, strip_symbols=True
-    )
+    normalization: NormalizationPolicy = STRIPPED
     alignment: NormalizationPolicy = ALIGNMENT_NORMALIZATION  # how alignment compares tokens
     pause_split: PauseSplitConfig = PauseSplitConfig()
     fixed_length: int = 10

@@ -5,13 +5,18 @@ A segment is a list of tokens; a :class:`SegmentedDocument` is an ordered
 list of non-empty segments.  Documents can be flattened to a token stream
 plus a :class:`BoundarySet` and rebuilt losslessly, which is the basis for
 every boundary-manipulating operation in this package.
+
+Normalizing a token under a :class:`NormalizationPolicy` gives its key.
+Keys come from one memo per policy, ``KEY_MEMOS``, which ``normalize``, WER
+and every aligner share: each distinct token is normalized once per process
+and policy, and a memo holds at most ``KEY_MEMO_SIZE`` tokens.  Category
+stripping is one ``str.translate`` call per token.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Tuple
 
 
@@ -96,36 +101,70 @@ def paired_documents(
     return zip(first, second)
 
 
-@lru_cache(maxsize=65536)
-def _strip_categories(text: str, strip_punctuation: bool, strip_symbols: bool) -> str:
-    out = []
-    for ch in text:
-        cat = unicodedata.category(ch)[0]
-        if strip_punctuation and cat == "P":
-            continue
-        if strip_symbols and cat == "S":
-            continue
-        out.append(ch)
-    return "".join(out)
+#: Bound of one policy's key memo: a memo that reaches it is cleared.
+KEY_MEMO_SIZE = 65_536
+
+
+class _CategoryTable(dict):
+    """A ``str.translate`` table that deletes the characters of some Unicode
+    major categories; each code point's category is looked up on first use."""
+
+    def __init__(self, categories: str):
+        super().__init__()
+        self.categories = categories
+
+    def __missing__(self, code: int):
+        dropped = unicodedata.category(chr(code))[0] in self.categories
+        kept = self[code] = None if dropped else code
+        return kept
+
+
+#: One table per set of stripped categories, shared by the policies that strip it.
+_TABLES = {cats: _CategoryTable(cats) for cats in ("P", "S", "PS")}
+
+
+class _KeyMemo(dict):
+    """One policy's keys, token -> normalized text, each computed on first use."""
+
+    def __init__(self, policy: NormalizationPolicy):
+        super().__init__()
+        self.policy = policy
+        self.table = _TABLES.get("P" * policy.strip_punctuation + "S" * policy.strip_symbols)
+
+    def __missing__(self, token: str) -> str:
+        key = token.lower() if self.policy.lowercase else token
+        if self.table is not None:
+            key = key.translate(self.table)
+        if len(self) >= KEY_MEMO_SIZE:
+            self.clear()
+        self[token] = key
+        return key
+
+
+class _KeyMemos(dict):
+    def __missing__(self, policy: NormalizationPolicy) -> _KeyMemo:
+        memo = self[policy] = _KeyMemo(policy)
+        return memo
+
+
+#: ``KEY_MEMOS[policy][token]`` is ``normalize_token(token, policy)``, computed
+#: on first use; a policy's memo starts over when it reaches ``KEY_MEMO_SIZE``.
+KEY_MEMOS = _KeyMemos()
 
 
 def normalize_token(text: str, policy: NormalizationPolicy) -> str:
-    """Apply a policy to one token's text. May return the empty string."""
-    if policy.lowercase:
-        text = text.lower()
-    if policy.strip_punctuation or policy.strip_symbols:
-        text = _strip_categories(text, policy.strip_punctuation, policy.strip_symbols)
-    return text
+    """Apply a policy to one token's text. May return the empty string.
+
+    Lowercasing comes first, then the characters of the stripped categories
+    are removed.  The key is read from the policy's memo in ``KEY_MEMOS``,
+    so each distinct token is normalized once per process and policy.
+    """
+    return KEY_MEMOS[policy][text]
 
 
 def normalize(segment: Sequence[str], policy: NormalizationPolicy) -> list:
     """Normalize every token in a segment, dropping tokens that become empty."""
-    out = []
-    for tok in segment:
-        norm = normalize_token(tok, policy)
-        if norm:
-            out.append(norm)
-    return out
+    return list(filter(None, map(KEY_MEMOS[policy].__getitem__, segment)))
 
 
 def normalize_document(doc: SegmentedDocument, policy: NormalizationPolicy) -> SegmentedDocument:

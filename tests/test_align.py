@@ -193,6 +193,22 @@ def test_align_matches_oracle_on_empty_sides(tie_break):
         assert_matches_oracle(a, b, ALIGNMENT_NORMALIZATION, tie_break)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_last_row_distance_matches_full_table_and_script(data):
+    # 1-3 symbols, or symbols with empty keys ("...", "!!!") and folded ones ("A,").
+    alphabet = data.draw(
+        st.sampled_from([["a"], ["a", "b"], ["a", "b", "c"], ["a", "...", "!!!", "A,"]]),
+        label="alphabet",
+    )
+    tokens = st.lists(st.sampled_from(alphabet), max_size=30)
+    a, b = data.draw(tokens, label="a"), data.draw(tokens, label="b")
+    for policy in (PLAIN, ALIGNMENT_NORMALIZATION):
+        distance = edit_distance(a, b, policy)
+        assert distance == oracle_distance(a, b, policy)
+        assert distance == levenshtein_align(a, b, policy).distance()
+
+
 #: "..." has the empty comparison key; "A," has the key of "a".
 SHARED_PASS_SYMBOLS = ["a", "b", "...", "A,"]
 

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from bitext_oracle import read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
+from text_oracle import oracle_normalize_token
 
 import segmt.align
+import segmt.text
+from segmt.align import ALIGNMENT_NORMALIZATION
 from segmt.augment import (
     AugmentationConfig,
     BitextPair,
@@ -26,6 +29,7 @@ from segmt.cli import main
 from segmt.formats import write_transcripts
 from segmt.rng import make_rng
 from segmt.segment import TimedTranscript, TimedWord
+from segmt.text import PUNCTUATED, STRIPPED
 
 
 def write_lines(path, text):
@@ -224,6 +228,40 @@ def test_wer_output(tmp_path, capsys):
     assert "WER 0.2000" in capsys.readouterr().out
     record = json.loads(report_path.read_text(encoding="utf-8"))
     assert record == {"type": "wer", "wer": 0.2, "errors": 1, "ref_len": 5}
+
+
+#: Three documents over one vocabulary, with case, punctuation and symbol variants.
+SHARED_VOCABULARY_REF = "The cat sat\non the mat.\n\nthe cat, sat on $5\n\n... The mat sat\n"
+SHARED_VOCABULARY_HYP = "the cat sat on\nthe Mat\n\nThe cat sat on $5 ...\n\nthe mat, sat\n"
+
+
+@pytest.mark.parametrize("command", ["score", "variants", "wer"])
+def test_each_distinct_token_is_normalized_once_per_policy(tmp_path, monkeypatch, capsys, command):
+    ref = write_lines(tmp_path / "ref.txt", SHARED_VOCABULARY_REF)
+    hyp = write_lines(tmp_path / "hyp.txt", SHARED_VOCABULARY_HYP)
+    argv = {
+        "score": ["score", hyp, ref, "--resegment"],
+        "variants": ["variants", ref, hyp, "-d", str(tmp_path / "variants")],
+        "wer": ["wer", ref, hyp],
+    }[command]
+    misses = Counter()
+    compute = segmt.text._KeyMemo.__missing__
+
+    def counted(memo, token):
+        misses[memo.policy, token] += 1
+        return compute(memo, token)
+
+    segmt.text.KEY_MEMOS.clear()
+    monkeypatch.setattr(segmt.text._KeyMemo, "__missing__", counted)
+    assert main(argv) == 0
+    tokens = set((SHARED_VOCABULARY_REF + SHARED_VOCABULARY_HYP).split())
+    if command == "wer":
+        stripped = {oracle_normalize_token(tok, STRIPPED) for tok in tokens} - {""}
+        expected = {(STRIPPED, tok) for tok in tokens} | {(PUNCTUATED, tok) for tok in stripped}
+    else:
+        expected = {(ALIGNMENT_NORMALIZATION, tok) for tok in tokens}
+    assert set(misses) == expected
+    assert set(misses.values()) == {1}
 
 
 def test_augment_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from segmt.config import ConfigError, PipelineConfig, _init_fields, _sections, load_config
+from segmt.text import STRIPPED
 
 FULL_CONFIG = """
 seed: 7
@@ -77,6 +78,12 @@ def test_defaults():
     assert cfg.augmentation.p_max == 0.3
     assert cfg.bleu.max_ngram_order == 4
     assert cfg.bleu.case_sensitive is True
+
+
+def test_default_normalization_is_the_stripped_policy():
+    # `normalize --policy stripped` and the config default are one constant.
+    assert PipelineConfig().normalization == STRIPPED
+    assert PipelineConfig().normalization is STRIPPED
 
 
 def test_top_level_must_be_mapping(tmp_path):

@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from text_oracle import oracle_normalize_token
 
 from segmt.text import (
+    KEY_MEMO_SIZE,
+    KEY_MEMOS,
     PUNCTUATED,
     STRIPPED,
     BoundarySet,
@@ -68,6 +73,45 @@ def test_normalize_idempotent(segment):
 @given(segment_st)
 def test_normalize_never_grows(segment):
     assert len(normalize(segment, STRIPPED)) <= len(segment)
+
+
+#: The 8 policies: every setting of the three flags.
+ALL_POLICIES = [
+    NormalizationPolicy(*flags) for flags in itertools.product((False, True), repeat=3)
+]
+
+
+@settings(max_examples=500)
+@given(st.text())
+@example("e\u0301a\u0308\u20dd")  # combining marks (Mn, Me) are kept
+@example("\u0130")  # lowercases to "i" plus a combining dot
+@example("ΟΔΟΣ-ΑΝ")  # Σ before "-" lowercases to final ς, so lowercasing comes first
+@example("𝄞x")  # an astral symbol (So)
+@example("don’t")
+@example("“quoted”")
+@example("$5_a")
+@example("¿qué?")
+@example("a\u3000b")  # an ideographic space (Zs) is kept
+@example("…“$”…")  # strips to "" under stripping policies
+def test_normalize_token_matches_character_oracle(token):
+    for policy in ALL_POLICIES:
+        key = oracle_normalize_token(token, policy)
+        assert normalize_token(token, policy) == key
+        assert normalize([token], policy) == ([key] if key else [])
+
+
+def test_key_memo_stays_bounded_and_exact():
+    # More distinct tokens than the memo holds: it is cleared when full, and
+    # every key is still the oracle's.
+    KEY_MEMOS.pop(STRIPPED, None)
+    marks = "’$_¿“"
+    tokens = [f"{chr(0x41 + i % 26)}{i}{marks[i % 5]}" for i in range(KEY_MEMO_SIZE + 5_000)]
+    sizes = []
+    for token in tokens:
+        assert normalize([token], STRIPPED) == [oracle_normalize_token(token, STRIPPED)]
+        sizes.append(len(KEY_MEMOS[STRIPPED]))
+    assert max(sizes) == KEY_MEMO_SIZE
+    assert sizes[-1] < KEY_MEMO_SIZE
 
 
 def test_flatten_two_segments():
