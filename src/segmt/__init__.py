@@ -24,12 +24,9 @@ from .align import (
 )
 from .augment import (
     AugmentationConfig,
-    AugmentationResult,
-    BitextPair,
     MixtureSpec,
     augment_blocks,
-    augment_corpus,
-    augment_pair,
+    augment_line,
     build_training_mixture,
 )
 from .bleu import (
@@ -57,7 +54,6 @@ from .rng import make_rng, uniforms
 from .segment import (
     PauseSplitConfig,
     TimedTranscript,
-    TimedWord,
     break_on_punctuation,
     ends_sentence,
     split_fixed_length,
@@ -84,8 +80,6 @@ __all__ = [
     "ALIGNMENT_NORMALIZATION",
     "Alignment",
     "AugmentationConfig",
-    "AugmentationResult",
-    "BitextPair",
     "BleuConfig",
     "BleuReport",
     "BoundarySet",
@@ -110,10 +104,8 @@ __all__ = [
     "SUBSTITUTE",
     "SegmentedDocument",
     "TimedTranscript",
-    "TimedWord",
     "augment_blocks",
-    "augment_corpus",
-    "augment_pair",
+    "augment_line",
     "break_on_punctuation",
     "bucket_report",
     "build_training_mixture",

@@ -31,7 +31,6 @@ from .text import (
     InputError,
     KEY_MEMOS,
     NormalizationPolicy,
-    PUNCTUATED,
     STRIPPED,
     SegmentedDocument,
     flatten,
@@ -232,7 +231,7 @@ def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int
     """
     ref = normalize(reference, STRIPPED)
     hyp = normalize(hypothesis, STRIPPED)
-    return edit_distance(ref, hyp, PUNCTUATED), len(ref)
+    return _myers(ref, hyp), len(ref)  # the stripped tokens are their own comparison keys
 
 
 def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:

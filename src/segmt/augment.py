@@ -6,6 +6,8 @@ a shared truncation fraction ``p`` is drawn once per pair, then each of the
 four sequences drops or keeps ``ceil(p * len)`` tokens.  The result imitates
 a sentence that starts or breaks in the wrong place while keeping most of
 the first sentence's content and a short continuation from the second.
+Pairs are the canonical ``source<TAB>target`` lines of
+``formats.read_bitext_lines``, cut without splitting them into token lists.
 
 Mixing builds a training stream by repeatedly sampling a corpus by weight,
 then an original-versus-augmented pool, then a pair within the pool.
@@ -15,25 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .rng import Stream, make_rng, uniforms
 from .text import InputError
 
 Item = TypeVar("Item")
-
-
-@dataclass
-class BitextPair:
-    """A source/target sentence pair tagged with its corpus of origin."""
-
-    source: List[str]
-    target: List[str]
-    origin: str = ""
-
-    def __post_init__(self):
-        if not self.source or not self.target:
-            raise ValueError("bitext pair sides must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -80,32 +69,10 @@ def _truncation(p: float, length: int) -> int:
     return math.ceil(p * length)
 
 
-def augment_pair(first: BitextPair, second: BitextPair, p: float) -> Optional[BitextPair]:
-    """Concatenate two adjacent pairs and truncate both ends proportionally.
-
-    The same ``p`` governs all four truncations, but counts are computed per
-    sequence length: the output keeps the last ``len - ceil(p*len)`` tokens
-    of the first sentence and the first ``ceil(p*len)`` tokens of the
-    second.  ``p = 0`` returns the first pair unchanged.
-
-    Returns None when either output side would be empty (cannot happen for
-    valid non-empty inputs; kept as a guard for the contract).
-    """
-    source = (
-        first.source[_truncation(p, len(first.source)) :]
-        + second.source[: _truncation(p, len(second.source))]
-    )
-    target = (
-        first.target[_truncation(p, len(first.target)) :]
-        + second.target[: _truncation(p, len(second.target))]
-    )
-    if not source or not target:
-        return None
-    return BitextPair(source, target, origin=first.origin)
-
-
 def augment_line(first: str, second: str, p: float) -> str:
-    """:func:`augment_pair` on canonical lines: ``split(" ", k)`` cuts a side after k tokens."""
+    """Each side keeps its last ``len - ceil(p*len)`` tokens and takes the first ``ceil(p*len)``
+    of the next line's side (``split(" ", k)`` cuts after k tokens).  ``p = 0`` returns ``first``;
+    any ``p > 0`` takes a token of each next side, so no output side is empty."""
     sides = []
     for head, tail in zip(first.split("\t"), second.split("\t")):
         length = head.count(" ") + 1
@@ -117,64 +84,29 @@ def augment_line(first: str, second: str, p: float) -> str:
     return "\t".join(sides)
 
 
-@dataclass
-class AugmentationResult(Generic[Item]):
-    """Augmented pairs plus a count of rejected (empty-sided) outputs."""
+def augment_blocks(blocks: Sequence[Sequence[str]], cfg: AugmentationConfig) -> List[List[str]]:
+    """Merge lines (0,1), (2,3), ... of every document with :func:`augment_line`.
 
-    pairs: List[Item]
-    skipped: int = 0
-
-
-def augment_corpus(
-    pairs: Sequence[BitextPair],
-    cfg: AugmentationConfig,
-    index_offset: int = 0,
-) -> AugmentationResult:
-    """Augment consecutive disjoint pairs (0,1), (2,3), ... of a corpus.
-
-    For each pair of pairs, ``p`` is drawn uniformly from [0, p_max) with a
-    sub-stream derived from (seed, pair index), so results do not depend on
-    processing order.  A trailing unpaired sentence passes through
-    unmodified.  Empty-sided outputs are skipped and counted.
-
-    ``index_offset`` shifts the pair indices, so a corpus processed in
-    chunks draws the same values as one processed whole.
-    """
-    return augment_blocks([pairs], cfg, index_offset)[0]
-
-
-def augment_blocks(
-    blocks: Sequence[Sequence[Item]],
-    cfg: AugmentationConfig,
-    index_offset: int = 0,
-    merge: Callable[[Item, Item, float], Optional[Item]] = augment_pair,
-) -> List[AugmentationResult[Item]]:
-    """``augment_corpus`` of every block, each offset by the lengths of those before it.
-
-    Block ``k`` gets the result of ``augment_corpus(blocks[k], cfg,
-    index_offset + len(blocks[0]) + ... + len(blocks[k - 1]))``, but the
-    fractions of all blocks are drawn in one ``rng.uniforms`` call.  ``merge``
-    is :func:`augment_pair` for ``BitextPair``s or :func:`augment_line` for lines.
+    Lines are numbered in corpus order, across documents.  Each merge draws
+    ``p`` uniformly from [0, p_max) with a sub-stream derived from (seed,
+    index of its first line), so results do not depend on processing order;
+    the fractions of all documents come from one ``rng.uniforms`` call.  A
+    document's trailing unpaired line passes through unmodified.
     """
     indices: List[int] = []
+    offset = 0
     for block in blocks:
-        indices.extend(range(index_offset, index_offset + len(block) - 1, 2))
-        index_offset += len(block)
+        indices.extend(range(offset, offset + len(block) - 1, 2))
+        offset += len(block)
     fractions = iter(uniforms(cfg.seed, indices, cfg.p_max))
-    results = []
+    out = []
     for block in blocks:
-        out: List[Item] = []
-        skipped = 0
-        for index in range(0, len(block) - 1, 2):
-            merged = merge(block[index], block[index + 1], next(fractions))
-            if merged is None:
-                skipped += 1
-            else:
-                out.append(merged)
+        pairs = range(0, len(block) - 1, 2)
+        merged = [augment_line(block[i], block[i + 1], next(fractions)) for i in pairs]
         if len(block) % 2 == 1:
-            out.append(block[-1])
-        results.append(AugmentationResult(out, skipped))
-    return results
+            merged.append(block[-1])
+        out.append(merged)
+    return out
 
 
 def build_training_mixture(
@@ -185,8 +117,8 @@ def build_training_mixture(
     """Sample ``total`` pairs with replacement according to the mixture spec.
 
     ``corpora`` maps each label to its (originals, augmented) pools, whose
-    items may be ``BitextPair``s or anything else standing for a pair.  Each
-    draw picks a corpus by weight, then the augmented pool with probability
+    items may be anything standing for a pair (``mix`` uses ``(label, line)``).
+    Each draw picks a corpus by weight, then the augmented pool with probability
     ``augmented_fraction`` (originals otherwise), then a uniform element.
     Fully determined by ``spec.seed``.
     """

@@ -124,7 +124,7 @@ def read_transcripts(path: PathLike) -> List[TimedTranscript]:
                 raise
             doc_id = str(record.get("doc_id", f"doc{len(transcripts)}"))
             try:
-                transcripts.append(TimedTranscript.from_columns(texts, starts, ends, doc_id))
+                transcripts.append(TimedTranscript(texts, starts, ends, doc_id))
             except ValueError as err:
                 raise ParseError(path, lineno, str(err)) from err
     return transcripts
@@ -144,7 +144,10 @@ def write_transcripts(path: PathLike, transcripts: Sequence[TimedTranscript]) ->
         for t in transcripts:
             record = {
                 "doc_id": t.doc_id,
-                "words": [{"text": w.text, "start": w.start, "end": w.end} for w in t.words],
+                "words": [
+                    {"text": text, "start": start, "end": end}
+                    for text, start, end in zip(t.texts, t.starts, t.ends)
+                ],
             }
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 

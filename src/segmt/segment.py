@@ -3,14 +3,16 @@
 Three ways to cut a token stream into segments: a rule-based sentence
 breaker over punctuated text, pause-based splitting of timed transcripts
 with a maximum-length cap, and greedy fixed-length splitting.  All three
-preserve the flat token sequence exactly.
+preserve the flat token sequence exactly.  A timed transcript is three
+parallel columns (word texts, start times, end times), the form
+``formats.read_transcripts`` reads and pause splitting cuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import FrozenSet, Iterable, List, Sequence
+from typing import FrozenSet, List, Sequence
 
 from .text import SegmentedDocument
 
@@ -42,40 +44,21 @@ class PauseSplitConfig:
             raise ValueError("max_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
-class TimedWord:
-    """One spoken word with its utterance time span in seconds."""
-
-    text: str
-    start: float
-    end: float
-
-
-@dataclass(init=False)
+@dataclass
 class TimedTranscript:
-    """Words with timing, ordered by start time, held as ``texts``, ``starts`` and ``ends``.
-
-    ``words`` builds :class:`TimedWord` objects on access.  The constructor
-    and :meth:`from_columns`, which readers use, run one validator.
-    """
+    """Words ordered by start time: word ``i`` is ``texts[i]``, spoken from ``starts[i]``
+    to ``ends[i]`` seconds."""
 
     texts: List[str]
     starts: List[float]
     ends: List[float]
     doc_id: str = ""
 
-    def __init__(self, words: Iterable[TimedWord], doc_id: str = ""):
-        words = list(words)
-        self._fill([w.text for w in words], [w.start for w in words], [w.end for w in words], doc_id)
-
-    @classmethod
-    def from_columns(cls, texts: List[str], starts: List[float], ends: List[float], doc_id: str = ""):
-        transcript = cls.__new__(cls)
-        transcript._fill(texts, starts, ends, doc_id)
-        return transcript
-
-    def _fill(self, texts, starts, ends, doc_id) -> None:
-        """Take the columns, or raise for the first bad word; every check fails on a NaN time."""
+    def __post_init__(self):
+        """Raise for the first bad word; every check fails on a NaN time."""
+        texts, starts, ends, doc_id = self.texts, self.starts, self.ends, self.doc_id
+        if not len(texts) == len(starts) == len(ends):
+            raise ValueError(f"transcript {doc_id!r}: columns differ in length")
         if not (  # whole-column checks; the loop only names the word that failed them
             " ".join(texts).split() == texts  # no word is empty or holds whitespace
             and all(map(le, starts, ends))
@@ -93,11 +76,6 @@ class TimedTranscript:
                 if start < prev_start:
                     raise ValueError(f"transcript {doc_id!r}: start times decrease at word {i}")
                 prev_start = start
-        self.texts, self.starts, self.ends, self.doc_id = texts, starts, ends, doc_id
-
-    @property
-    def words(self) -> List[TimedWord]:
-        return list(map(TimedWord, self.texts, self.starts, self.ends))
 
     def tokens(self) -> List[str]:
         return list(self.texts)

@@ -23,7 +23,6 @@ import numpy as np
 
 from segmt import (
     AugmentationConfig,
-    BitextPair,
     MATCH,
     MixtureSpec,
     NoiseConfig,
@@ -31,9 +30,8 @@ from segmt import (
     PauseSplitConfig,
     SegmentedDocument,
     TimedTranscript,
-    TimedWord,
-    augment_corpus,
-    augment_pair,
+    augment_blocks,
+    augment_line,
     build_training_mixture,
     corpus_bleu,
     corrupt_boundaries,
@@ -294,24 +292,22 @@ def test_c06_augmentation_output_structure():
     for i in range(20_000):
         src = [f"s{i}_{j}" for j in range(int(rng.integers(1, 16)))]
         tgt = [f"t{i}_{j}" for j in range(int(rng.integers(1, 16)))]
-        inputs.append(BitextPair(src, tgt, origin="demo"))
+        inputs.append(" ".join(src) + "\t" + " ".join(tgt))
 
-    result = augment_corpus(inputs, AugmentationConfig(p_max=0.3, seed=66))
-    assert result.skipped == 0
-    assert len(result.pairs) == 10_000
+    (outputs,) = augment_blocks([inputs], AugmentationConfig(p_max=0.3, seed=66))
+    assert len(outputs) == 10_000
 
     def cap(length):
         # Exact-rational ceiling, immune to float rounding of 0.3 * length.
         return math.ceil(Fraction(3, 10) * length)
 
+    def sides(line):
+        return [side.split(" ") for side in line.split("\t")]
+
     violations = 0
-    for k, out in enumerate(result.pairs):
-        first, second = inputs[2 * k], inputs[2 * k + 1]
+    for k, out in enumerate(outputs):
         counts = []
-        for side in ("source", "target"):
-            merged = getattr(out, side)
-            a = getattr(first, side)
-            b = getattr(second, side)
+        for merged, a, b in zip(sides(out), sides(inputs[2 * k]), sides(inputs[2 * k + 1])):
             taken = sum(tok.split("_")[0][1:] == str(2 * k) for tok in merged)
             dropped = len(a) - taken
             kept = len(merged) - taken
@@ -335,16 +331,10 @@ def test_c06_augmentation_output_structure():
             upper = min(Fraction(c, n) for c, n in counts)
             if not lower < upper:
                 violations += 1
-        if out.origin != first.origin:
-            violations += 1
     assert violations == 0
 
     for k in range(0, 200, 2):
-        out = augment_pair(inputs[k], inputs[k + 1], 0.0)
-        assert out is not None
-        assert out.source == inputs[k].source
-        assert out.target == inputs[k].target
-        assert out.origin == inputs[k].origin
+        assert augment_line(inputs[k], inputs[k + 1], 0.0) == inputs[k]
     print("10000 augmented pairs structurally valid, 0 violations; p=0 is the identity")
 
 
@@ -354,7 +344,8 @@ def test_c07_mixture_sampling_proportions():
     """
 
     def pool(label, kind, size):
-        return [BitextPair([kind, f"{label}{i}"], [kind], origin=label) for i in range(size)]
+        # ``(label, line)`` items, as ``segmt mix`` draws them.
+        return [(label, f"{kind} {label}{i}\t{kind}") for i in range(size)]
 
     corpora = {
         "big": (pool("big", "orig", 53), pool("big", "aug", 37)),
@@ -364,9 +355,9 @@ def test_c07_mixture_sampling_proportions():
     draws = build_training_mixture(corpora, spec, 100_000)
     assert len(draws) == 100_000
 
-    big = sum(p.origin == "big" for p in draws) / len(draws)
-    small = sum(p.origin == "small" for p in draws) / len(draws)
-    augmented = sum(p.source[0] == "aug" for p in draws) / len(draws)
+    big = sum(label == "big" for label, _ in draws) / len(draws)
+    small = sum(label == "small" for label, _ in draws) / len(draws)
+    augmented = sum(line.startswith("aug ") for _, line in draws) / len(draws)
     assert abs(big - 0.9) <= 0.01
     assert abs(small - 0.1) <= 0.01
     assert abs(augmented - 0.2) <= 0.01
@@ -444,7 +435,8 @@ def test_c10_segmentation_strategy_invariants():
     for _ in range(5000):
         count = int(rng.integers(1, 41))
         max_tokens = int(rng.integers(1, 9))
-        words = []
+        texts = [f"u{i}" for i in range(count)]
+        starts = []
         gaps = []
         t = 0.0
         for i in range(count):
@@ -452,11 +444,12 @@ def test_c10_segmentation_strategy_invariants():
                 gap = gap_choices[int(rng.integers(len(gap_choices)))]
                 gaps.append(gap)
                 t += gap
-            words.append(TimedWord(f"u{i}", t, t + 0.25))
+            starts.append(t)
             t += 0.25
         cfg = PauseSplitConfig(pause_threshold_sec=1.0, max_tokens=max_tokens)
-        doc = split_on_pauses(TimedTranscript(words), cfg)
-        if doc.tokens() != [w.text for w in words]:
+        transcript = TimedTranscript(texts, starts, [start + 0.25 for start in starts])
+        doc = split_on_pauses(transcript, cfg)
+        if doc.tokens() != texts:
             violations += 1
         if any(not s or len(s) > max_tokens for s in doc.segments):
             violations += 1

@@ -1,19 +1,19 @@
 import math
 
+import bitext_oracle
 import draw_oracle
 import pytest
+from bitext_oracle import BitextPair, as_line, augment_pair
 from hypothesis import given, settings, strategies as st
 
 from segmt.augment import (
     AugmentationConfig,
-    BitextPair,
     MixtureSpec,
     augment_blocks,
-    augment_corpus,
     augment_line,
-    augment_pair,
     build_training_mixture,
 )
+from segmt.rng import uniforms
 
 
 def pair(src, tgt, origin=""):
@@ -28,6 +28,15 @@ def indexed_pairs(count, width=4, origin=""):
     ]
 
 
+def indexed_lines(count, width=4):
+    return [as_line(p) for p in indexed_pairs(count, width)]
+
+
+def augment_corpus(lines, cfg):
+    """A corpus of one document, augmented."""
+    return augment_blocks([lines], cfg)[0]
+
+
 def test_augment_pair_zero_p():
     first = pair(["a", "b"], ["x", "y"], origin="c1")
     second = pair(["c", "d"], ["z", "w"])
@@ -35,6 +44,7 @@ def test_augment_pair_zero_p():
     assert out.source == first.source
     assert out.target == first.target
     assert out.origin == "c1"
+    assert augment_line("a b\tx y", "c d\tz w", 0.0) == "a b\tx y"
 
 
 def test_augment_pair_proportional_truncation():
@@ -63,25 +73,23 @@ def test_augment_pair_rejects_negative_p():
         augment_line("a\tb", "c\td", -0.1)
 
 
-def as_line(bitext_pair):
-    return " ".join(bitext_pair.source) + "\t" + " ".join(bitext_pair.target)
-
-
 # Sides of 1, 2, 3, 7 and 10 tokens, with non-ASCII tokens, on either side of the merge.
 LINE_SIDES = [["a"], ["\u00fc", "b"], ["x", "\u4e2d\u6587", "y"], [f"s{i}" for i in range(7)],
               [f"t{i}\u2019" for i in range(10)]]
 
 
-@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0), 1.0])
 def test_augment_line_matches_augment_pair(p):
     for first_source in LINE_SIDES:
         for second_source in LINE_SIDES:
             for first_target, second_target in [(["t"], LINE_SIDES[-1]), (LINE_SIDES[3], ["u"])]:
                 first = pair(first_source, first_target)
                 second = pair(second_source, second_target)
-                assert augment_line(as_line(first), as_line(second), p) == as_line(
-                    augment_pair(first, second, p)
-                )
+                line = augment_line(as_line(first), as_line(second), p)
+                assert line == as_line(augment_pair(first, second, p))
+                # Every merge keeps two non-blank sides, so none is ever dropped.
+                sides = line.split("\t")
+                assert len(sides) == 2 and all(side.strip() for side in sides)
 
 
 def test_augment_pair_full_truncation_keeps_sides_non_empty():
@@ -91,70 +99,78 @@ def test_augment_pair_full_truncation_keeps_sides_non_empty():
     out = augment_pair(first, second, 1.0)
     assert out.source == ["c"]
     assert out.target == ["y", "z"]
+    assert augment_line("a b\tx", "c\ty z", 1.0) == "c\ty z"
 
 
 def test_augment_corpus_pairing_counts():
     cfg = AugmentationConfig(p_max=0.3, seed=11)
-    assert len(augment_corpus(indexed_pairs(4), cfg).pairs) == 2
-    result = augment_corpus(indexed_pairs(5), cfg)
-    assert len(result.pairs) == 3
-    assert result.pairs[-1] == indexed_pairs(5)[-1]  # trailing passthrough
-    assert result.skipped == 0
+    assert len(augment_corpus(indexed_lines(4), cfg)) == 2
+    lines = augment_corpus(indexed_lines(5), cfg)
+    assert len(lines) == 3
+    assert lines[-1] == indexed_lines(5)[-1]  # trailing passthrough
 
 
 def test_augment_corpus_deterministic():
     cfg = AugmentationConfig(p_max=0.3, seed=42)
-    pairs = indexed_pairs(40)
-    first = augment_corpus(pairs, cfg)
-    second = augment_corpus(pairs, cfg)
-    assert first == second
+    lines = indexed_lines(40)
+    assert augment_corpus(lines, cfg) == augment_corpus(lines, cfg)
 
 
 def test_augment_corpus_seed_changes_output():
-    pairs = indexed_pairs(40, width=12)
-    a = augment_corpus(pairs, AugmentationConfig(seed=1)).pairs
-    b = augment_corpus(pairs, AugmentationConfig(seed=2)).pairs
+    lines = indexed_lines(40, width=12)
+    a = augment_corpus(lines, AugmentationConfig(seed=1))
+    b = augment_corpus(lines, AugmentationConfig(seed=2))
     assert a != b
 
 
 def test_augment_corpus_chunked_offsets_match_whole():
-    pairs = indexed_pairs(12)
+    lines = indexed_lines(12)
     cfg = AugmentationConfig(p_max=0.3, seed=9)
-    whole = augment_corpus(pairs, cfg).pairs
-    chunked = (
-        augment_corpus(pairs[:6], cfg, index_offset=0).pairs
-        + augment_corpus(pairs[6:], cfg, index_offset=6).pairs
-    )
-    assert chunked == whole
+    first, second = augment_blocks([lines[:6], lines[6:]], cfg)
+    assert first + second == augment_corpus(lines, cfg)
 
 
 @pytest.mark.parametrize("index_offset", [0, 3, 2**40])
 def test_augment_blocks_match_augment_corpus_with_running_offsets(index_offset):
+    """The per-pair oracle, one generator per merge at running indices, agrees with
+    ``augment_line`` on one batched ``rng.uniforms`` draw; from index 0 that is ``augment_blocks``."""
     pairs = indexed_pairs(60, width=10)
     blocks = [pairs[:1], pairs[1:3], pairs[3:8], [], pairs[8:60]]
     cfg = AugmentationConfig(p_max=0.5, seed=12)
-    expected = []
-    offset = index_offset
-    for block in blocks:
-        expected.append(augment_corpus(block, cfg, index_offset=offset))
-        offset += len(block)
-    assert augment_blocks(blocks, cfg, index_offset) == expected
+    expected = [
+        list(map(as_line, block))
+        for block in bitext_oracle.augment_blocks(blocks, cfg, index_offset)
+    ]
+    lines = [list(map(as_line, block)) for block in blocks]
+    indices, start = [], index_offset
+    for block in lines:
+        indices.extend(range(start, start + len(block) - 1, 2))
+        start += len(block)
+    fractions = iter(uniforms(cfg.seed, indices, cfg.p_max))
+    batched = [
+        [augment_line(block[k], block[k + 1], next(fractions)) for k in range(0, len(block) - 1, 2)]
+        + block[len(block) - len(block) % 2 :]
+        for block in lines
+    ]
+    assert batched == expected
+    if index_offset == 0:
+        assert augment_blocks(lines, cfg) == expected
 
 
 def test_augment_corpus_output_structure():
     width = 9
-    pairs = indexed_pairs(200, width=width)
     cfg = AugmentationConfig(p_max=0.3, seed=3)
     cap = math.ceil(cfg.p_max * width)
-    for out in augment_corpus(pairs, cfg).pairs:
+    for out in augment_corpus(indexed_lines(200, width=width), cfg):
+        source = out.split("\t")[0].split(" ")
         # Tokens encode their pair index, so the S1/S2 split is recoverable.
-        i = int(out.source[0][1:].split(".")[0])
-        split = sum(1 for tok in out.source if tok.startswith(f"s{i}."))
+        i = int(source[0][1:].split(".")[0])
+        split = sum(1 for tok in source if tok.startswith(f"s{i}."))
         # Source is a contiguous suffix of S1 followed by a prefix of S2.
-        assert out.source[:split] == [f"s{i}.{j}" for j in range(width - split, width)]
-        assert out.source[split:] == [f"s{i + 1}.{j}" for j in range(len(out.source) - split)]
+        assert source[:split] == [f"s{i}.{j}" for j in range(width - split, width)]
+        assert source[split:] == [f"s{i + 1}.{j}" for j in range(len(source) - split)]
         assert width - split <= cap
-        assert len(out.source) - split <= cap
+        assert len(source) - split <= cap
 
 
 def test_augmentation_config_validation():

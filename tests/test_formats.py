@@ -2,10 +2,9 @@ import json
 import sys
 
 import pytest
-from bitext_oracle import read_bitext, write_bitext
+from bitext_oracle import BitextPair, read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
-from segmt.augment import BitextPair
 from segmt.bleu import BleuReport
 from segmt.evaluate import LengthBucket, LengthBucketReport
 from segmt.formats import (
@@ -23,7 +22,7 @@ from segmt.formats import (
     write_records,
     write_transcripts,
 )
-from segmt.segment import TimedTranscript, TimedWord
+from segmt.segment import TimedTranscript
 from segmt.text import SegmentedDocument
 
 
@@ -58,9 +57,7 @@ def test_documents_file_layout(tmp_path):
 
 def test_transcripts_round_trip(tmp_path):
     transcripts = [
-        TimedTranscript(
-            [TimedWord("hello", 0.0, 0.4), TimedWord("there", 0.9, 1.3)], doc_id="talk1"
-        )
+        TimedTranscript(["hello", "there"], [0.0, 0.9], [0.4, 1.3], doc_id="talk1")
     ]
     path = tmp_path / "t.jsonl"
     write_transcripts(path, transcripts)

@@ -4,7 +4,6 @@ import pytest
 from segmt.segment import (
     PauseSplitConfig,
     TimedTranscript,
-    TimedWord,
     break_on_punctuation,
     ends_sentence,
     split_fixed_length,
@@ -14,12 +13,12 @@ from segmt.segment import (
 
 def make_transcript(texts, gaps, doc_id="t"):
     """Build a transcript where gaps[i] is the pause after word i."""
-    words = []
+    starts = []
     t = 0.0
-    for i, text in enumerate(texts):
-        words.append(TimedWord(text, t, t + 1.0))
+    for i in range(len(texts)):
+        starts.append(t)
         t += 1.0 + (gaps[i] if i < len(gaps) else 0.0)
-    return TimedTranscript(words, doc_id=doc_id)
+    return TimedTranscript(list(texts), starts, [start + 1.0 for start in starts], doc_id=doc_id)
 
 
 def test_ends_sentence_terminal_marks():
@@ -108,8 +107,7 @@ def test_split_on_pauses_all_gaps():
 
 def test_split_on_pauses_overlapping_words():
     # Next word starts before the current one ends: gap clamps to zero.
-    words = [TimedWord("a", 0.0, 2.0), TimedWord("b", 1.0, 3.0)]
-    doc = split_on_pauses(TimedTranscript(words), PauseSplitConfig())
+    doc = split_on_pauses(TimedTranscript(["a", "b"], [0.0, 1.0], [2.0, 3.0]), PauseSplitConfig())
     assert doc.segments == [["a", "b"]]
 
 
@@ -121,19 +119,19 @@ def test_split_on_pauses_sub_threshold():
 
 def test_timed_transcript_validation():
     with pytest.raises(ValueError):
-        TimedTranscript([TimedWord("a", 1.0, 0.5)])
+        TimedTranscript(["a"], [1.0], [0.5])
     with pytest.raises(ValueError):
-        TimedTranscript([TimedWord("a", 2.0, 3.0), TimedWord("b", 1.0, 4.0)])
+        TimedTranscript(["a", "b"], [2.0, 1.0], [3.0, 4.0])
     with pytest.raises(ValueError):
-        TimedTranscript([TimedWord("a b", 0.0, 1.0)])
+        TimedTranscript(["a b"], [0.0], [1.0])
     with pytest.raises(ValueError):
-        TimedTranscript([TimedWord("", 0.0, 1.0)])
+        TimedTranscript([""], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("text", ["", " a", "a\n", "a b", "a\u00a0b", "\x1c"])
 def test_timed_transcript_rejects_word_with_whitespace(text):
     with pytest.raises(ValueError) as err:
-        TimedTranscript([TimedWord("ok", 0.0, 0.5), TimedWord(text, 0.5, 1.0)], doc_id="d")
+        TimedTranscript(["ok", text], [0.0, 0.5], [0.5, 1.0], doc_id="d")
     assert str(err.value) == f"transcript 'd': bad word text {text!r}"
 
 

@@ -10,6 +10,7 @@ time, which the oracle accepts and the package refuses as a bad time span.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -17,10 +18,11 @@ import math
 import pytest
 import transcript_oracle
 from hypothesis import HealthCheck, given, settings, strategies as st
+from transcript_oracle import TimedWord, from_words, words_of
 
 from segmt.cli import main
 from segmt.formats import ParseError, read_transcripts, write_documents
-from segmt.segment import PauseSplitConfig, TimedTranscript, TimedWord, split_on_pauses
+from segmt.segment import PauseSplitConfig, TimedTranscript, split_on_pauses
 
 # str() of these has no whitespace, so they are valid word texts.
 ODD_TEXTS = [7, 0, -3, 1.5, True, None, []]
@@ -155,8 +157,8 @@ def test_columns_match_the_word_oracle(tmp_path, records, cfg):
         assert (code, stderr) == (2, f"error: {message}\n")
         return
     transcripts = read_transcripts(path)
-    assert [(t.doc_id, t.words) for t in transcripts] == [(t.doc_id, t.words) for t in expected]
-    assert transcripts == [TimedTranscript(t.words, doc_id=t.doc_id) for t in expected]
+    assert [(t.doc_id, words_of(t)) for t in transcripts] == [(t.doc_id, t.words) for t in expected]
+    assert transcripts == [from_words(t.words, doc_id=t.doc_id) for t in expected]
     docs = [split_on_pauses(t, cfg) for t in transcripts]
     assert docs == [transcript_oracle.split_on_pauses(t, cfg) for t in expected]
     assert code == 0, stderr
@@ -195,16 +197,24 @@ def test_nan_time_exits_2_as_a_bad_time_span(tmp_path, nan, field):
 
 def test_nan_time_is_refused_by_the_constructor():
     with pytest.raises(ValueError, match=r"bad time span for word 0 \(nan, 1.0\)"):
-        TimedTranscript([TimedWord("a", float("nan"), 1.0)])
+        TimedTranscript(["a"], [float("nan")], [1.0])
     with pytest.raises(ValueError, match=r"bad time span for word 1 \(1.0, nan\)"):
-        TimedTranscript([TimedWord("a", 0.0, 1.0), TimedWord("b", 1.0, float("nan"))])
+        TimedTranscript(["a", "b"], [0.0, 1.0], [1.0, float("nan")])
 
 
 def test_words_are_built_from_the_columns():
-    words = [TimedWord("a", 0.0, 0.5), TimedWord("b", 0.5, 2.0)]
-    transcript = TimedTranscript(words, doc_id="d")
-    assert (transcript.texts, transcript.starts, transcript.ends) == (["a", "b"], [0.0, 0.5], [0.5, 2.0])
-    assert transcript.words == words
+    transcript = TimedTranscript(["a", "b"], [0.0, 0.5], [0.5, 2.0], doc_id="d")
+    assert words_of(transcript) == [TimedWord("a", 0.0, 0.5), TimedWord("b", 0.5, 2.0)]
     assert transcript.tokens() == ["a", "b"]
-    assert TimedTranscript.from_columns(["a", "b"], [0.0, 0.5], [0.5, 2.0], "d") == transcript
-    assert TimedTranscript([], doc_id="e").words == []
+    assert from_words(words_of(transcript), "d") == transcript
+    assert TimedTranscript([], [], [], doc_id="e").tokens() == []
+    # dataclasses.replace rebuilds through the constructor, so it runs the checks too.
+    assert dataclasses.replace(transcript, doc_id="f") == TimedTranscript(
+        ["a", "b"], [0.0, 0.5], [0.5, 2.0], doc_id="f"
+    )
+    with pytest.raises(ValueError, match=r"transcript 'd': bad time span for word 1 \(nan, 2.0\)"):
+        dataclasses.replace(transcript, starts=[0.0, float("nan")])
+    with pytest.raises(ValueError, match=r"transcript 'd': start times decrease at word 1"):
+        dataclasses.replace(transcript, starts=[0.5, 0.0], ends=[0.5, 0.5])
+    with pytest.raises(ValueError, match=r"transcript 'd': columns differ in length"):
+        dataclasses.replace(transcript, ends=[0.5])

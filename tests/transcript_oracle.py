@@ -16,8 +16,28 @@ from dataclasses import dataclass
 from typing import List
 
 from segmt.formats import ParseError, PathLike, _utf8_located
-from segmt.segment import PauseSplitConfig, TimedWord
+from segmt.segment import PauseSplitConfig, TimedTranscript
 from segmt.text import SegmentedDocument
+
+
+@dataclass(frozen=True)
+class TimedWord:
+    """One spoken word with its utterance time span in seconds."""
+
+    text: str
+    start: float
+    end: float
+
+
+def words_of(transcript: TimedTranscript) -> List[TimedWord]:
+    """A package transcript's columns as one ``TimedWord`` per word."""
+    return list(map(TimedWord, transcript.texts, transcript.starts, transcript.ends))
+
+
+def from_words(words: List[TimedWord], doc_id: str = "") -> TimedTranscript:
+    """A package transcript with the words' texts, starts and ends as its columns."""
+    columns = [[w.text for w in words], [w.start for w in words], [w.end for w in words]]
+    return TimedTranscript(*columns, doc_id=doc_id)
 
 
 @dataclass
