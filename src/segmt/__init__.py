@@ -60,7 +60,6 @@ from .segment import (
     split_on_pauses,
 )
 from .text import (
-    BoundarySet,
     InputError,
     NormalizationPolicy,
     PUNCTUATED,
@@ -82,7 +81,6 @@ __all__ = [
     "AugmentationConfig",
     "BleuConfig",
     "BleuReport",
-    "BoundarySet",
     "ConfigError",
     "DELETE",
     "EditOp",

@@ -278,7 +278,7 @@ def project_positions(
     """
     src_tokens, boundaries = flatten(source_doc)
     forward = _forward(src_tokens, target_tokens, policy)
-    return _positions(_backtrace(forward), DELETE, boundaries.positions)
+    return _positions(_backtrace(forward), DELETE, boundaries)
 
 
 def project_boundaries(
@@ -314,8 +314,8 @@ def cross_project(
     a_tokens, a_bounds = flatten(a_doc)
     b_tokens, b_bounds = flatten(b_doc)
     forward = _forward(a_tokens, b_tokens, policy)
-    on_b = _positions(_backtrace(forward), DELETE, a_bounds.positions)
-    on_a = _positions(_backtrace(forward, b_to_a=True), INSERT, b_bounds.positions)
+    on_b = _positions(_backtrace(forward), DELETE, a_bounds)
+    on_a = _positions(_backtrace(forward, b_to_a=True), INSERT, b_bounds)
     return (
         rebuild(b_tokens, (k for k in on_b if k >= 0), doc_id=a_doc.doc_id),
         rebuild(a_tokens, (k for k in on_a if k >= 0), doc_id=b_doc.doc_id),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .rng import Stream, make_rng, uniforms
+from .rng import Stream, uniforms
 from .text import InputError
 
 Item = TypeVar("Item")
@@ -139,7 +139,7 @@ def build_training_mixture(
         running += spec.corpus_weights[label]
         cumulative.append((running, label))
 
-    rng = Stream(make_rng(spec.seed, "mixture"))
+    rng = Stream(spec.seed, "mixture")
     out: List[Item] = []
     for _ in range(total):
         u = rng.random()

@@ -51,7 +51,6 @@ from .text import (
     STRIPPED,
     InputError,
     SegmentedDocument,
-    flatten,
     normalize_document,
     paired_documents,
 )
@@ -190,8 +189,7 @@ def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
 def cmd_project(args, cfg: PipelineConfig) -> int:
     out = []
     for src, tgt in paired_documents(read_documents(args.source), read_documents(args.target)):
-        tokens, _ = flatten(tgt)
-        projected = project_boundaries(src, tokens, cfg.alignment)
+        projected = project_boundaries(src, tgt.tokens(), cfg.alignment)
         out.append(SegmentedDocument(projected.segments, doc_id=tgt.doc_id))
     write_documents(_path(args, cfg, "output"), out)
     return EXIT_OK

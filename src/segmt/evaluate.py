@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .align import ALIGNMENT_NORMALIZATION, cross_project, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
-from .text import NormalizationPolicy, SegmentedDocument, flatten, paired_documents
+from .text import NormalizationPolicy, SegmentedDocument, _cut, paired_documents
 
 #: Reference-length bucket bounds used by the length breakdown, as
 #: (inclusive lower, exclusive upper) pairs.
@@ -85,17 +85,11 @@ def resegment_hypothesis(
     always pairs 1:1 with the reference segments and concatenates back to
     the hypothesis tokens.  The final piece always extends to the end.
     """
-    hyp_tokens, _ = flatten(hyp_doc)
-    positions = project_positions(ref_doc, hyp_tokens, policy)
-    if positions:
-        positions[-1] = len(hyp_tokens) - 1
-    pieces: List[List[str]] = []
-    prev = -1
-    for pos in positions:
-        pos = max(pos, prev)
-        pieces.append(hyp_tokens[prev + 1 : pos + 1])
-        prev = pos
-    return pieces
+    hyp_tokens = hyp_doc.tokens()
+    ends = project_positions(ref_doc, hyp_tokens, policy)
+    if ends:
+        ends[-1] = len(hyp_tokens) - 1
+    return _cut(hyp_tokens, ends)
 
 
 def score_documents(

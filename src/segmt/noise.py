@@ -79,7 +79,7 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
     """
     if (cfg.substitution_rate > 0 or cfg.insertion_rate > 0) and not cfg.vocabulary:
         raise InputError("substitution/insertion need a non-empty vocabulary")
-    rng = Stream(make_rng(cfg.seed, "tokens", doc.doc_id))
+    rng = Stream(cfg.seed, "tokens", doc.doc_id)
     sub_cut = cfg.substitution_rate
     del_cut = cfg.substitution_rate + cfg.deletion_rate
     segments: List[List[str]] = []
@@ -114,6 +114,6 @@ def corrupt_boundaries(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDoc
         return SegmentedDocument([list(seg) for seg in doc.segments], doc_id=doc.doc_id)
     draws = make_rng(cfg.seed, "boundaries", doc.doc_id).random(len(tokens) - 1)
     internal = np.zeros(len(draws), dtype=bool)
-    internal[list(boundaries.positions[:-1])] = True
+    internal[boundaries[:-1]] = True
     kept = np.where(internal, draws >= cfg.boundary_merge_rate, draws < cfg.boundary_split_rate)
     return rebuild(tokens, np.flatnonzero(kept).tolist(), doc_id=doc.doc_id)

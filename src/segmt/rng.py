@@ -15,12 +15,13 @@ It relies on the stream stability numpy guarantees for SeedSequence and
 PCG64 (NEP 19); ``tests/test_rng.py::test_uniforms_equal_make_rng_draws``
 checks it against ``make_rng``.
 
-``Stream`` serves the scalar ``random()`` and ``integers(n)`` draws of a
-``make_rng`` generator from bulk ``random_raw`` output, bit for bit, without
-one numpy call per draw.  It replays numpy's scalar ``integers`` algorithm
-(PCG64's buffered 32-bit halves and Lemire's rejection), which NEP 19 does
-not freeze; ``tests/test_rng.py::test_stream_equals_generator_draws`` is the
-guard against a numpy release that changes it.
+``Stream(seed, *context)`` serves the scalar ``random()`` and ``integers(n)``
+draws of a fresh ``make_rng(seed, *context)`` generator from bulk
+``random_raw`` output, bit for bit, without one numpy call per draw.  It
+replays numpy's scalar ``integers`` algorithm (PCG64's buffered 32-bit
+halves and Lemire's rejection), which NEP 19 does not freeze;
+``tests/test_rng.py::test_stream_equals_generator_draws`` is the guard
+against a numpy release that changes it.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the CLI, for the subcommands that draw nothing) does not load it.
@@ -39,7 +40,6 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _DOUBLE_UNIT = 2.0**-53
-_INTEGERS_MAX = 1 << 63  # integers(n) draws int64, so n - 1 must fit
 
 # SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4.
 _POOL_SIZE = 4
@@ -83,7 +83,6 @@ def make_rng(seed: Optional[int], *context) -> np.random.Generator:
 # _MAX_BLOCK outputs.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
-_UNREAD = object()  # Stream._half before the generator's buffered half is read
 
 
 def _later_blocks(bit_generator) -> Iterator[int]:
@@ -96,23 +95,21 @@ def _later_blocks(bit_generator) -> Iterator[int]:
 
 
 class Stream:
-    """The scalar ``random()`` and ``integers(n)`` draws of ``generator``, fetched in bulk.
+    """The scalar ``random()`` and ``integers(n)`` draws of ``make_rng(seed, *context)``.
 
-    Each method returns, bit for bit, what the same call on the generator
-    would (``integers`` as a Python int), but reads PCG64 outputs in blocks
-    through ``bit_generator.random_raw``.  The stream takes the generator
-    over: draw from one or the other, not both.
+    Each method returns, bit for bit, what the same call on a fresh
+    generator would (``integers`` as a Python int), but reads PCG64 outputs
+    in blocks through ``bit_generator.random_raw``.
     """
 
-    def __init__(self, generator: np.random.Generator):
-        bit_generator = self._bit_generator = generator.bit_generator
+    def __init__(self, seed: Optional[int], *context):
+        bit_generator = make_rng(seed, *context).bit_generator
         first = bit_generator.random_raw(_FIRST_BLOCK).tolist()
         self._next64: Callable[[], int] = chain(first, _later_blocks(bit_generator)).__next__
         # PCG64 serves 32-bit draws in pairs: the low half of a fresh output,
-        # then its high half, kept here until taken (None when empty).  The
-        # generator's own buffered half is read at the first 32-bit draw:
-        # 64-bit draws leave it alone, and many streams never need it.
-        self._half: object = _UNREAD
+        # then its high half, kept here until taken (None when empty).  A
+        # fresh generator holds no half.
+        self._half: Optional[int] = None
 
     def random(self) -> float:
         """``generator.random()``: the top 53 bits of one output, scaled to [0, 1)."""
@@ -120,9 +117,6 @@ class Stream:
 
     def _next32(self) -> int:
         half = self._half
-        if half is _UNREAD:
-            state = self._bit_generator.state
-            half = state["uinteger"] if state["has_uint32"] else None
         if half is not None:
             self._half = None
             return half
@@ -133,28 +127,21 @@ class Stream:
     def integers(self, n: int) -> int:
         """``int(generator.integers(n))``: uniform on [0, n) by numpy's scalar algorithm.
 
-        ``n == 1`` draws nothing.  Up to 2**32 one 32-bit half is scaled by
-        ``n`` and redrawn while the low word of the product is below
-        ``(2**32 - n) % n`` (Lemire), so 2**32 takes the half as it is.
-        Above that the same rejection runs on whole 64-bit outputs.
+        ``n`` is a vocabulary or pool size, so it lies in 1..2**32.  ``n == 1``
+        draws nothing.  Otherwise one 32-bit half is scaled by ``n`` and
+        redrawn while the low word of the product is below ``(2**32 - n) % n``
+        (Lemire), so 2**32 takes the half as it is.
         """
-        if not 1 <= n <= _INTEGERS_MAX:
-            raise ValueError(f"integers(n) needs 1 <= n <= 2**63, got {n}")
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
         if n == 1:
             return 0
-        if n <= 1 << 32:
-            scaled = self._next32() * n
-            if scaled & _MASK32 < n:  # the threshold is below n: most draws skip the modulo
-                threshold = ((1 << 32) - n) % n
-                while scaled & _MASK32 < threshold:
-                    scaled = self._next32() * n
-            return scaled >> 32
-        scaled = self._next64() * n
-        if scaled & _MASK64 < n:
-            threshold = ((1 << 64) - n) % n
-            while scaled & _MASK64 < threshold:
-                scaled = self._next64() * n
-        return scaled >> 64
+        scaled = self._next32() * n
+        if scaled & _MASK32 < n:  # the threshold is below n: most draws skip the modulo
+            threshold = ((1 << 32) - n) % n
+            while scaled & _MASK32 < threshold:
+                scaled = self._next32() * n
+        return scaled >> 32
 
 
 def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:

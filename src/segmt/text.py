@@ -3,8 +3,11 @@
 Tokens are plain strings that are non-empty and contain no whitespace.
 A segment is a list of tokens; a :class:`SegmentedDocument` is an ordered
 list of non-empty segments.  Documents can be flattened to a token stream
-plus a :class:`BoundarySet` and rebuilt losslessly, which is the basis for
-every boundary-manipulating operation in this package.
+plus a list of boundary positions and rebuilt losslessly, which is the basis
+for every boundary-manipulating operation in this package.  Position ``k``
+means "a boundary after token k" (0-based); one helper, ``_cut``, slices a
+token stream at non-decreasing positions for both ``rebuild`` and
+``evaluate.resegment_hypothesis``.
 
 Normalizing a token under a :class:`NormalizationPolicy` gives its key.
 Keys come from one memo per policy, ``KEY_MEMOS``, which ``normalize``, WER
@@ -42,29 +45,6 @@ class NormalizationPolicy:
 STRIPPED = NormalizationPolicy(strip_punctuation=True, lowercase=True, strip_symbols=True)
 #: Identity policy: text left untouched.
 PUNCTUATED = NormalizationPolicy(strip_punctuation=False, lowercase=False, strip_symbols=False)
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """Segment boundaries over a flat token sequence.
-
-    Each position ``k`` means "a boundary after token k" (0-based).
-    Positions are strictly increasing and all lie in ``[0, total_tokens)``.
-    """
-
-    positions: tuple
-    total_tokens: int
-
-    def __post_init__(self):
-        prev = -1
-        for k in self.positions:
-            if not 0 <= k < self.total_tokens:
-                raise ValueError(
-                    f"boundary position {k} out of range for {self.total_tokens} tokens"
-                )
-            if k <= prev:
-                raise ValueError(f"boundary positions not strictly increasing: {self.positions}")
-            prev = k
 
 
 @dataclass
@@ -177,44 +157,43 @@ def normalize_document(doc: SegmentedDocument, policy: NormalizationPolicy) -> S
     return SegmentedDocument(segments, doc_id=doc.doc_id)
 
 
-def flatten(doc: SegmentedDocument):
-    """Concatenate a document's tokens; return them with their BoundarySet.
+def flatten(doc: SegmentedDocument) -> Tuple[list, list]:
+    """Concatenate a document's tokens; return them with their boundary positions.
 
     One boundary is recorded after the last token of every segment,
-    including the final segment.
+    including the final segment, so the positions are strictly increasing
+    and the last one is ``len(tokens) - 1``.
     """
     tokens = []
     positions = []
     for seg in doc.segments:
         tokens.extend(seg)
         positions.append(len(tokens) - 1)
-    return tokens, BoundarySet(tuple(positions), len(tokens))
+    return tokens, positions
 
 
-def rebuild(tokens: Sequence[str], boundaries, doc_id: str = "") -> SegmentedDocument:
+def _cut(tokens: list, ends: Sequence[int]) -> list:
+    """One piece per end: ``tokens[a + 1 : b + 1]`` for consecutive ends a, b.
+
+    ``ends`` is non-decreasing and at least -1, with an implied -1 before
+    the first; an end equal to the one before it gives an empty piece.
+    """
+    return [tokens[a + 1 : b + 1] for a, b in zip([-1, *ends], ends)]
+
+
+def rebuild(tokens: Sequence[str], positions: Iterable[int], doc_id: str = "") -> SegmentedDocument:
     """Inverse of flatten: cut a token sequence at the given boundary positions.
 
-    Accepts a BoundarySet or any iterable of positions.  Duplicate or
-    out-of-order positions are collapsed to a strictly increasing set, and a
-    final boundary after the last token is implied, so the result never
-    contains empty segments.
+    Duplicate or out-of-order positions are collapsed to a strictly
+    increasing set, and a final boundary after the last token is implied,
+    so the result never contains empty segments.
     """
-    if isinstance(boundaries, BoundarySet):
-        positions: Iterable[int] = boundaries.positions
-    else:
-        positions = boundaries
     n = len(tokens)
     cuts = set()
     for k in positions:
         if not 0 <= k < n:
             raise ValueError(f"boundary position {k} out of range for {n} tokens")
         cuts.add(k)
-    if n == 0:
-        return SegmentedDocument([], doc_id=doc_id)
-    cuts.add(n - 1)
-    segments = []
-    start = 0
-    for k in sorted(cuts):
-        segments.append(list(tokens[start : k + 1]))
-        start = k + 1
-    return SegmentedDocument(segments, doc_id=doc_id)
+    if n:
+        cuts.add(n - 1)
+    return SegmentedDocument(_cut(list(tokens), sorted(cuts)), doc_id=doc_id)

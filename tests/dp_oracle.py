@@ -163,7 +163,31 @@ def oracle_positions(
         if target is not None:
             last = target
         nearest.append(last)
-    return [nearest[k] for k in boundaries.positions]
+    return [nearest[k] for k in boundaries]
+
+
+def oracle_resegmentation(
+    hyp_doc: SegmentedDocument,
+    ref_doc: SegmentedDocument,
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+) -> List[List[str]]:
+    """``resegment_hypothesis`` on ``oracle_positions``, cut by an explicit loop.
+
+    The last position is moved to the end of the hypothesis, and every
+    position is clamped to at least the one before it, so each piece starts
+    where the previous one ended.
+    """
+    hyp_tokens = hyp_doc.tokens()
+    positions = oracle_positions(ref_doc, hyp_tokens, policy)
+    if positions:
+        positions[-1] = len(hyp_tokens) - 1
+    pieces: List[List[str]] = []
+    prev = -1
+    for pos in positions:
+        pos = max(pos, prev)
+        pieces.append(hyp_tokens[prev + 1 : pos + 1])
+        prev = pos
+    return pieces
 
 
 def oracle_projection(

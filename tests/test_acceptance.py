@@ -198,7 +198,7 @@ def test_c03_boundary_projection_invariants():
         if any(not seg for seg in projected.segments):
             violations += 1
         if tgt_tokens and (
-            not bounds.positions or bounds.positions[-1] != len(tgt_tokens) - 1
+            not bounds or bounds[-1] != len(tgt_tokens) - 1
         ):
             violations += 1
 
@@ -267,7 +267,7 @@ def test_c05_context_free_translator_segmentation_invariance():
     for i in range(0, len(ref_tokens), 97):
         ref_tokens[i] = f"z{i}"
     _, bounds = flatten(reference)
-    noisy_reference = rebuild(ref_tokens, bounds.positions)
+    noisy_reference = rebuild(ref_tokens, bounds)
     noisy_scores = []
     for n in range(10, 101, 10):
         hyp = translate_tokenwise(split_fixed_length(tokens, n))

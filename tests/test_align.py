@@ -238,6 +238,26 @@ def test_project_positions_matches_oracle(tie_break, data):
     assert_tie_order_keeps_the_cost(source.tokens(), target, tie_break)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_project_positions_are_a_monotone_cut(data):
+    # Non-decreasing, in [-1, len(target)), with the -1 entries as a prefix:
+    # cutting at these positions needs no clamp.
+    alphabet = draw_alphabet(data)
+    source = data.draw(documents(alphabet), label="source")
+    target = data.draw(
+        st.one_of(st.just([]), st.lists(st.sampled_from(alphabet), max_size=20)), label="target"
+    )
+    positions = project_positions(source, target)
+    assert len(positions) == len(source.segments)
+    assert positions == sorted(positions)
+    assert all(-1 <= k < len(target) for k in positions)
+    before_first = positions.count(-1)
+    assert positions[:before_first] == [-1] * before_first
+    if not target:
+        assert positions == [-1] * len(source.segments)
+
+
 @pytest.mark.parametrize("tie_break", TIE_ORDERS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -390,4 +410,4 @@ def test_project_preserves_target_tokens(segments, target):
     tokens, bounds = flatten(out)
     assert tokens == target
     assert all(seg for seg in out.segments)
-    assert bounds.positions[-1] == len(target) - 1
+    assert bounds[-1] == len(target) - 1

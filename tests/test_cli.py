@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import bitext_oracle
-from bitext_oracle import BitextPair, read_bitext, write_bitext
+from bitext_oracle import read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
 import segmt.align
+import segmt.augment
 import segmt.text
 from segmt.align import ALIGNMENT_NORMALIZATION
 from segmt.augment import AugmentationConfig, MixtureSpec, build_training_mixture
@@ -350,14 +351,21 @@ def test_augment_matches_tokenised_oracle(tmp_path_factory, text, p_max, seed):
     ids=["canonical", "irregular"],
 )
 def test_augment_builds_no_token_pairs(tmp_path, monkeypatch, capsys, text):
-    def no_pairs(self):
-        raise AssertionError("augment built a BitextPair")
+    # augment merges the canonical lines themselves: one augment_line call
+    # per merged pair, on the two raw lines.
+    calls = []
+    merge = segmt.augment.augment_line
 
-    monkeypatch.setattr(BitextPair, "__post_init__", no_pairs)
+    def counted(first, second, p):
+        calls.append((first, second))
+        return merge(first, second, p)
+
+    monkeypatch.setattr(segmt.augment, "augment_line", counted)
     src = tmp_path / "bi.tsv"
     src.write_bytes(text.encode("utf-8"))
     out = tmp_path / "aug.tsv"
     assert main(["augment", str(src), "-o", str(out), "--seed", "3", "--p-max", "0.5"]) == 0
+    assert calls == [("a b\tx", "c\ty z")]
     assert capsys.readouterr().out.splitlines()[-1] == "augmented 2 pair(s), skipped 0"
     assert out.read_text(encoding="utf-8").count("\n\n") == 1
 

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from dp_oracle import TIE_ORDERS, assert_tie_order_keeps_the_cost, oracle_projection
+from dp_oracle import (
+    TIE_ORDERS,
+    assert_tie_order_keeps_the_cost,
+    oracle_projection,
+    oracle_resegmentation,
+)
 from hypothesis import given, settings, strategies as st
 
 from segmt.bleu import BleuConfig
@@ -100,6 +105,23 @@ def test_resegment_pieces_concatenate():
         pieces = resegment_hypothesis(hyp, ref)
         assert len(pieces) == len(ref.segments)
         assert [tok for piece in pieces for tok in piece] == hyp.tokens()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_resegment_matches_clamped_oracle(data):
+    # Tie-heavy documents over 1-3 symbols, either side possibly empty: the
+    # shared cut must equal the oracle's clamped loop piece for piece.
+    alphabet = data.draw(
+        st.lists(st.sampled_from(["a", "b", "...", "A,"]), min_size=1, max_size=3, unique=True)
+    )
+    segment = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)
+    document = st.lists(segment, max_size=8).map(SegmentedDocument)
+    ref, hyp = data.draw(document, label="ref"), data.draw(document, label="hyp")
+    pieces = resegment_hypothesis(hyp, ref)
+    assert pieces == oracle_resegmentation(hyp, ref)
+    assert len(pieces) == len(ref.segments)
+    assert [tok for piece in pieces for tok in piece] == (hyp.tokens() if ref.segments else [])
 
 
 def test_resegment_collapse_yields_empty_piece():

@@ -165,7 +165,7 @@ def corrupt_boundaries_by_gap(doc, cfg):
     if len(tokens) <= 1:
         return SegmentedDocument([list(seg) for seg in doc.segments], doc_id=doc.doc_id)
     rng = make_rng(cfg.seed, "boundaries", doc.doc_id)
-    internal = set(boundaries.positions[:-1])
+    internal = set(boundaries[:-1])
     kept = []
     for gap in range(len(tokens) - 1):
         draw = rng.random()

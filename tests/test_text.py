@@ -9,7 +9,6 @@ from segmt.text import (
     KEY_MEMOS,
     PUNCTUATED,
     STRIPPED,
-    BoundarySet,
     NormalizationPolicy,
     SegmentedDocument,
     flatten,
@@ -117,24 +116,23 @@ def test_key_memo_stays_bounded_and_exact():
 def test_flatten_two_segments():
     tokens, bounds = flatten(SegmentedDocument([["a", "b"], ["c"]]))
     assert tokens == ["a", "b", "c"]
-    assert bounds.positions == (1, 2)
-    assert bounds.total_tokens == 3
+    assert bounds == [1, 2]
 
 
 def test_flatten_empty_document():
     tokens, bounds = flatten(SegmentedDocument([]))
     assert tokens == []
-    assert bounds.positions == ()
+    assert bounds == []
 
 
 def test_flatten_single_segment():
     tokens, bounds = flatten(SegmentedDocument([["a"]]))
     assert tokens == ["a"]
-    assert bounds.positions == (0,)
+    assert bounds == [0]
 
 
 def test_rebuild_inverts_flatten():
-    doc = rebuild(["a", "b", "c"], BoundarySet((1, 2), 3))
+    doc = rebuild(["a", "b", "c"], [1, 2])
     assert doc.segments == [["a", "b"], ["c"]]
 
 
@@ -149,22 +147,12 @@ def test_rebuild_collapses_duplicates():
 def test_rebuild_out_of_range():
     with pytest.raises(ValueError):
         rebuild(["a", "b"], [2])
+    with pytest.raises(ValueError):
+        rebuild(["a", "b"], [-1])
 
 
 def test_rebuild_empty_tokens():
     assert rebuild([], []).segments == []
-
-
-def test_boundary_set_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        BoundarySet((3,), 3)
-    with pytest.raises(ValueError):
-        BoundarySet((-1,), 3)
-
-
-def test_boundary_set_rejects_non_increasing():
-    with pytest.raises(ValueError):
-        BoundarySet((1, 1), 3)
 
 
 def test_document_rejects_empty_segment():
@@ -188,7 +176,10 @@ def test_flatten_rebuild_round_trip(doc):
 def test_flatten_preserves_token_count(doc):
     tokens, bounds = flatten(doc)
     assert len(tokens) == sum(len(seg) for seg in doc.segments)
-    assert bounds.total_tokens == len(tokens)
+    # One position per segment, strictly increasing, the last after the final token.
+    assert len(bounds) == len(doc.segments)
+    assert all(a < b for a, b in zip([-1, *bounds], bounds))
+    assert bounds[-1:] == ([len(tokens) - 1] if tokens else [])
 
 
 def test_normalize_document_drops_empty_segments():
