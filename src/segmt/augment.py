@@ -10,19 +10,28 @@ Pairs are the canonical ``source<TAB>target`` lines of
 ``formats.read_bitext_lines``, cut without splitting them into token lists.
 
 Mixing builds a training stream by repeatedly sampling a corpus by weight,
-then an original-versus-augmented pool, then a pair within the pool.
+then an original-versus-augmented pool, then a pair within the pool.  The
+draws replay one generator's scalar calls, but numpy makes them a block at a
+time from bulk PCG64 output, down to the draw where the regular pattern of
+outputs breaks (see ``build_training_mixture``); per-draw ``rng.Stream``
+calls take over from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .rng import Stream, uniforms
+from .rng import Stream, make_rng, uniforms
 from .text import InputError
 
 Item = TypeVar("Item")
+
+# build_training_mixture reads the PCG64 outputs of this many pairs of draws
+# at a time (five outputs a pair), so its arrays stay small.
+_PAIRS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,22 @@ def build_training_mixture(
     ``corpora`` maps each label to its (originals, augmented) pools, whose
     items may be anything standing for a pair (``mix`` uses ``(label, line)``).
     Each draw picks a corpus by weight, then the augmented pool with probability
-    ``augmented_fraction`` (originals otherwise), then a uniform element.
-    Fully determined by ``spec.seed``.
+    ``augmented_fraction`` (originals otherwise), then a uniform element: the
+    ``random()``, ``random()`` and ``integers(len(pool))`` calls of one
+    ``make_rng(spec.seed, "mixture")`` generator, so ``spec.seed`` fixes the result.
+
+    The calls are replayed in bulk.  While every pool drawn from holds 2..2**32
+    items and Lemire's test accepts every index, each draw reads two outputs
+    for its uniforms, and each pair of draws shares one more: the first takes
+    its low 32 bits for the index and the second the high 32 bits, which
+    PCG64 buffers.  numpy computes that pattern for blocks of
+    ``_PAIRS_PER_BLOCK`` pairs, each from one ``random_raw`` call.  It breaks
+    at the first draw from a pool of one (whose index draws nothing) or
+    whose index Lemire rejects; a ``Stream`` resumed at that draw's output
+    and buffered half makes the remaining draws one call at a time.  NEP 19
+    does not freeze numpy's ``integers`` algorithm, so
+    ``tests/test_augment.py::test_mixture_matches_per_draw_oracle``, against
+    the generator's own calls, is the guard.
     """
     labels = sorted(spec.corpus_weights)
     for label in labels:
@@ -139,9 +162,48 @@ def build_training_mixture(
         running += spec.corpus_weights[label]
         cumulative.append((running, label))
 
-    rng = Stream(spec.seed, "mixture")
+    import numpy as np
+
+    # Pool 2i holds label i's originals and pool 2i+1 its augmented pairs.  A
+    # pool the pattern cannot draw from (one item, or a size outside 2..2**32)
+    # gets scale 1 and threshold 2**32, so every draw from it breaks the pattern.
+    pools = [pool for label in labels for pool in corpora[label]]
+    sizes = [len(pool) if 2 <= len(pool) <= 1 << 32 else 0 for pool in pools]
+    scales = np.array([size or 1 for size in sizes], dtype=np.uint64)
+    thresholds = np.array(
+        [((1 << 32) - size) % size if size else 1 << 32 for size in sizes], dtype=np.uint64
+    )
+    bounds = np.array([bound for bound, _ in cumulative])
+    mask32 = (1 << 32) - 1
+
+    bit_generator = make_rng(spec.seed, "mixture").bit_generator
     out: List[Item] = []
-    for _ in range(total):
+    rng: Optional[Stream] = None  # set at the draw that breaks the pattern
+    while rng is None and len(out) < total:
+        count = min(2 * _PAIRS_PER_BLOCK, total - len(out))
+        # Row p holds pair p's five outputs: draw 2p's two uniforms, the output
+        # whose low half is draw 2p's index half and whose high half is draw
+        # 2p+1's (PCG64 buffers it), then draw 2p+1's two uniforms.
+        outputs = bit_generator.random_raw(5 * ((count + 1) // 2)).reshape(-1, 5)
+        u = (outputs[:, 0::3].ravel()[:count] >> 11) * 2.0**-53  # as Stream.random
+        u2 = (outputs[:, 1::3].ravel()[:count] >> 11) * 2.0**-53
+        shared = outputs[:, 2]
+        halves = np.stack((shared & mask32, shared >> 32), axis=1).ravel()[:count]
+        # searchsorted's "right" side is the first bound above u; past the
+        # last bound the last label is taken, as in the per-draw loop.
+        corpus = np.minimum(np.searchsorted(bounds, u, side="right"), len(labels) - 1)
+        pool_ids = 2 * corpus + (u2 < spec.augmented_fraction)
+        scaled = halves * scales[pool_ids]
+        broken = np.flatnonzero((scaled & mask32) < thresholds[pool_ids])
+        regular = int(broken[0]) if len(broken) else count
+        indices = (scaled[:regular] >> 32).tolist()
+        out.extend(map(getitem, map(pools.__getitem__, pool_ids[:regular].tolist()), indices))
+        if regular < count:
+            pair, second = divmod(regular, 2)
+            half = int(shared[pair]) >> 32 if second else None
+            rng = Stream.resume(bit_generator, outputs[pair:].ravel()[3 * second :].tolist(), half)
+
+    for _ in range(total - len(out)):
         u = rng.random()
         label = labels[-1]  # guards against the cumulative sum rounding below 1
         for bound, lab in cumulative:

@@ -21,7 +21,10 @@ draws of a fresh ``make_rng(seed, *context)`` generator from bulk
 replays numpy's scalar ``integers`` algorithm (PCG64's buffered 32-bit
 halves and Lemire's rejection), which NEP 19 does not freeze;
 ``tests/test_rng.py::test_stream_equals_generator_draws`` is the guard
-against a numpy release that changes it.
+against a numpy release that changes it.  ``Stream.resume`` continues the
+draws of a reader that took outputs itself: ``augment.build_training_mixture``
+computes the regular case of its draws from ``random_raw`` arrays and hands
+the rest, from the first draw that breaks the pattern, to a resumed stream.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the CLI, for the subcommands that draw nothing) does not load it.
@@ -110,6 +113,19 @@ class Stream:
         # then its high half, kept here until taken (None when empty).  A
         # fresh generator holds no half.
         self._half: Optional[int] = None
+
+    @classmethod
+    def resume(cls, bit_generator, pending: List[int], half: Optional[int]) -> "Stream":
+        """The draws that follow where a reader of ``bit_generator``'s outputs stopped.
+
+        ``pending`` are the outputs it fetched but did not use, in order, and
+        ``half`` the 32-bit half it holds (None if it holds none).  The stream
+        reads ``pending`` first, then the bit generator in blocks.
+        """
+        stream = cls.__new__(cls)
+        stream._next64 = chain(pending, _later_blocks(bit_generator)).__next__
+        stream._half = half
+        return stream
 
     def random(self) -> float:
         """``generator.random()``: the top 53 bits of one output, scaled to [0, 1)."""

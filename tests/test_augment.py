@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import bitext_oracle
 import draw_oracle
 import pytest
 from bitext_oracle import BitextPair, as_line, augment_pair
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from segmt import augment
 from segmt.augment import (
     AugmentationConfig,
     MixtureSpec,
@@ -13,7 +15,7 @@ from segmt.augment import (
     augment_line,
     build_training_mixture,
 )
-from segmt.rng import uniforms
+from segmt.rng import Stream, uniforms
 
 
 def pair(src, tgt, origin=""):
@@ -236,9 +238,20 @@ def test_mixture_zero_total():
     assert build_training_mixture({"A": (indexed_pairs(2), [])}, spec, 0) == []
 
 
+# Pool sizes whose 32-bit index draws Lemire's test rejects often: a quarter
+# of them for 3 * 2**30 and about half for 2**31 + 1.
+REJECTING_SIZES = [3 * 2**30, 2**31 + 1]
+
+
+def pool_of(draw, label, kind, min_size):
+    size = draw(st.one_of(st.integers(min_size, 4), st.sampled_from(REJECTING_SIZES)))
+    return range(size) if size > 4 else [(label, kind, i) for i in range(size)]
+
+
 @st.composite
 def mixtures(draw):
-    """Corpora of 1-3 labels with pools of 1-4 items, weights summing to 1, and a spec."""
+    """Corpora of 1-3 labels with pools of 1-4 items or huge ranges, weights summing to 1,
+    and a spec."""
     labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     raw = draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)))
     raw[0] = raw[0] or 1  # at least one positive weight
@@ -246,20 +259,61 @@ def mixtures(draw):
     fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     corpora = {}
     for label in labels:
-        originals = draw(st.integers(1, 4))  # a pool of one draws nothing for its index
-        augmented = draw(st.integers(0 if fraction == 0 else 1, 4))
-        corpora[label] = (
-            [(label, "original", i) for i in range(originals)],
-            [(label, "augmented", i) for i in range(augmented)],
-        )
+        # A pool of one draws nothing for its index, which breaks the bulk pattern.
+        originals = pool_of(draw, label, "original", 1)
+        augmented = pool_of(draw, label, "augmented", 0 if fraction == 0 else 1)
+        corpora[label] = (originals, augmented)
     spec = MixtureSpec(weights, fraction, draw(st.integers(0, 2**32)))
     return corpora, spec
 
 
-@settings(max_examples=200, deadline=None)
-@given(mixture=mixtures(), total=st.one_of(st.just(0), st.integers(1, 80)))
-def test_mixture_matches_per_draw_oracle(mixture, total):
+# Nine draws whose bulk pattern first breaks at a known draw: a pool of one
+# picked at draw 0, 4, 5 (a buffered half pending) or 8, or a Lemire rejection
+# at draw 0.  test_mixture_breaks_where_expected checks the break points.
+ONE_OR_HUGE = {"a": (["only"], range(3 * 2**30))}
+BREAKS = {
+    "one_at_first": (ONE_OR_HUGE, MixtureSpec({"a": 1.0}, 0.5, 0), 0),
+    "one_at_even_middle": (ONE_OR_HUGE, MixtureSpec({"a": 1.0}, 0.5, 43), 4),
+    "one_at_odd_middle": (ONE_OR_HUGE, MixtureSpec({"a": 1.0}, 0.5, 150), 5),
+    "one_at_last": (ONE_OR_HUGE, MixtureSpec({"a": 1.0}, 0.5, 1913), 8),
+    "rejection_at_first": ({"a": (range(2**31 + 1), [])}, MixtureSpec({"a": 1.0}, 0.0, 0), 0),
+}
+BREAK_TOTAL = 9
+
+
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_mixture_breaks_where_expected(name, monkeypatch):
+    # From the break on, every draw makes two per-draw Stream.random calls.
+    corpora, spec, first_break = BREAKS[name]
+    calls = []
+    random = Stream.random
+
+    def counted(self):
+        calls.append(self)
+        return random(self)
+
+    monkeypatch.setattr(Stream, "random", counted)
+    build_training_mixture(corpora, spec, BREAK_TOTAL)
+    assert len(calls) == 2 * (BREAK_TOTAL - first_break)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mixture=mixtures(),
+    total=st.one_of(st.just(0), st.integers(1, 80)),
+    pairs=st.sampled_from([None, 1, 3]),
+)
+@example(mixture=BREAKS["one_at_first"][:2], total=BREAK_TOTAL, pairs=None)
+@example(mixture=BREAKS["one_at_even_middle"][:2], total=BREAK_TOTAL, pairs=None)
+@example(mixture=BREAKS["one_at_odd_middle"][:2], total=BREAK_TOTAL, pairs=None)
+@example(mixture=BREAKS["one_at_last"][:2], total=BREAK_TOTAL, pairs=None)
+@example(mixture=BREAKS["rejection_at_first"][:2], total=BREAK_TOTAL, pairs=None)
+@example(mixture=BREAKS["one_at_odd_middle"][:2], total=BREAK_TOTAL, pairs=1)
+@example(mixture=BREAKS["one_at_last"][:2], total=BREAK_TOTAL, pairs=3)
+def test_mixture_matches_per_draw_oracle(mixture, total, pairs):
+    # pairs=1 or 3 shrinks the bulk blocks to 2 or 6 draws, so totals cross
+    # block boundaries, with and without a break inside a later block.
     corpora, spec = mixture
-    assert build_training_mixture(corpora, spec, total) == draw_oracle.build_training_mixture(
-        corpora, spec, total
-    )
+    with mock.patch.object(augment, "_PAIRS_PER_BLOCK", pairs or augment._PAIRS_PER_BLOCK):
+        drawn = build_training_mixture(corpora, spec, total)
+    assert drawn == draw_oracle.build_training_mixture(corpora, spec, total)

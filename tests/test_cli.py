@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import bitext_oracle
+import draw_oracle
 from bitext_oracle import read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
 import segmt.align
 import segmt.augment
+import segmt.rng
 import segmt.text
 from segmt.align import ALIGNMENT_NORMALIZATION
 from segmt.augment import AugmentationConfig, MixtureSpec, build_training_mixture
@@ -618,6 +620,51 @@ def test_simulate_and_mix_make_no_per_draw_numpy_calls(tmp_path, monkeypatch, ca
     with pytest.raises(AssertionError):
         make_rng(1).random()
     assert run("patched") == expected
+
+
+@pytest.mark.parametrize("one_line_corpus", [False, True])
+def test_mix_draws_in_bulk_until_a_pool_of_one(tmp_path, monkeypatch, capsys, one_line_corpus):
+    # Pools of two or more lines keep mix's bulk pattern whole, so it makes no
+    # per-draw Stream call; a one-line corpus breaks the pattern at its first
+    # pick, and the per-draw continuation draws the rest.
+    lines = {
+        "a": [f"a{i}\tx{i}" for i in range(5)],
+        "b": ["b0\ty0"] if one_line_corpus else ["b0\ty0", "b1 c\ty1"],
+        "aug": [f"u{i}\tv{i} w" for i in range(3)],
+    }
+    paths = {
+        name: write_lines(tmp_path / f"{name}.tsv", "".join(line + "\n" for line in text))
+        for name, text in lines.items()
+    }
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(segmt.rng.Stream, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(segmt.rng.Stream, name, wrapper)
+
+    counted("random")
+    counted("integers")
+    total, out = 3001, tmp_path / "mix.tsv"  # crosses a block boundary; odd
+    corpora = {"a": (paths["a"], paths["aug"]), "b": (paths["b"], paths["aug"])}
+    assert main(mix_args(corpora, {"a": 0.5, "b": 0.5}, 0.3, 9, total, out)) == 0
+
+    def items(label, name):
+        return [(label, line) for line in lines[name]]
+
+    pools = {label: (items(label, label), items(label, "aug")) for label in ("a", "b")}
+    spec = MixtureSpec({"a": 0.5, "b": 0.5}, 0.3, 9)
+    expected = draw_oracle.build_training_mixture(pools, spec, total)
+    assert out.read_bytes() == "".join(line + "\n" for _, line in expected).encode("utf-8")
+    if one_line_corpus:
+        assert 0 < calls["integers"] < total  # the break comes after draw 0
+        assert calls["random"] == 2 * calls["integers"]
+    else:
+        assert calls == Counter()
 
 
 def test_simulate_identity_with_zero_rates(tmp_path, capsys):

@@ -89,6 +89,30 @@ def test_stream_equals_generator_draws(seed, block, calls):
     assert drawn == [draw(reference, call) for call in calls]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    read_ahead=st.integers(min_value=0, max_value=40),
+    before=st.lists(st.one_of(st.none(), st.sampled_from(STREAM_SIZES)), max_size=12),
+    after=st.lists(st.one_of(st.none(), st.sampled_from(STREAM_SIZES)), max_size=60),
+)
+def test_stream_resume_continues_generator_draws(seed, read_ahead, before, after):
+    # A reader stops with read_ahead outputs fetched but unused and the
+    # generator's buffered half (numpy's own state says which) in hand.
+    reference = make_rng(seed, "resume")
+    for call in before:
+        draw(reference, call)
+    state = reference.bit_generator.state
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {**state, "has_uint32": 0, "uinteger": 0}
+    pending = bit_generator.random_raw(read_ahead).tolist()
+    half = state["uinteger"] if state["has_uint32"] else None
+    with fetch_blocks(3):
+        stream = Stream.resume(bit_generator, pending, half)
+        drawn = [draw(stream, call) for call in after]
+    assert drawn == [draw(reference, call) for call in after]
+
+
 @pytest.mark.parametrize("block, count", [(None, 5000), (3, 200)])
 @pytest.mark.parametrize("n", STREAM_SIZES)
 def test_stream_repeated_size_equals_generator(n, block, count):
