@@ -17,9 +17,8 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .align import project_boundaries, wer_counts
@@ -263,9 +262,13 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
         if label in weights
     }
     mixture = build_training_mixture(corpora, spec, args.total)
-    write_bitext_lines(_path(args, cfg, "output"), [[line for _, line in mixture]])
+    lines: List[str] = []
+    counts: Dict[str, int] = {}
+    for label, line in mixture:  # one walk: the lines to write and the draws per label
+        lines.append(line)
+        counts[label] = counts.get(label, 0) + 1
+    write_bitext_lines(_path(args, cfg, "output"), [lines])
     print(f"effective seed: {seed}")
-    counts = Counter(label for label, _ in mixture)
     summary = ", ".join(f"{label}: {counts[label]}" for label in sorted(counts))
     print(f"drew {len(mixture)} pair(s) ({summary})" if mixture else "drew 0 pair(s)")
     return EXIT_OK

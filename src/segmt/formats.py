@@ -11,10 +11,12 @@ Timed transcripts
 Bitext
     Tab-separated ``source<TAB>target`` token lines; a blank line separates
     documents (adjacency within a document drives augmentation pairing).
-    ``augment`` and ``mix`` never split a side into tokens: they keep the
-    lines of a canonical file (one tab, single spaces between tokens, no
-    other whitespace; any script) unchanged and normalise the whitespace of
-    any other line.
+    ``augment`` and ``mix`` never split a side into tokens: they keep
+    canonical lines (one tab, single spaces between tokens, no other
+    whitespace; any script) unchanged and normalise the whitespace of any
+    other line.  They read a bitext in bounded chunks of whole lines, so the
+    working memory above the lines they keep is a few MiB, whatever the
+    size of the file.
 
 Reports
     JSON Lines records with a ``"type"`` discriminator, plus human-readable
@@ -53,7 +55,8 @@ def _utf8_located(reader):
     """Turn a reader's UnicodeDecodeError into a ParseError naming the bad line.
 
     The happy path only pays for a ``try``; on failure the file is re-read
-    as bytes to find the first line that does not decode.
+    as bytes to find the first line that does not decode.  Lines end at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in the text-mode readers.
     """
 
     @functools.wraps(reader)
@@ -62,7 +65,8 @@ def _utf8_located(reader):
             return reader(path, *args, **kwargs)
         except UnicodeDecodeError as err:
             with open(path, "rb") as handle:
-                for lineno, raw in enumerate(handle, start=1):
+                raws = (line for part in handle for line in part.splitlines(keepends=True))
+                for lineno, raw in enumerate(raws, start=1):
                     try:
                         raw.decode("utf-8")
                     except UnicodeDecodeError as bad:
@@ -152,13 +156,16 @@ def write_transcripts(path: PathLike, transcripts: Sequence[TimedTranscript]) ->
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _bitext_sides(path: PathLike, lines: Iterable[str]) -> Iterator[Optional[List[str]]]:
+def _bitext_sides(
+    path: PathLike, lines: Iterable[str], start: int = 1
+) -> Iterator[Optional[List[str]]]:
     """Validate bitext lines: None for a blank line, else its ``[source, target]`` strings.
 
     A line of whitespace alone (tabs included) is blank.  Any other line
-    needs exactly one tab, with non-blank text before and after it.
+    needs exactly one tab, with non-blank text before and after it.  The
+    first line is line ``start`` of ``path``.
     """
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         fields = line.rstrip("\n").split("\t")
         if len(fields) == 2 and fields[0].strip() and fields[1].strip():
             yield fields
@@ -179,26 +186,64 @@ _WIDE_SPACES = (
 )
 
 
-def _is_canonical(text: str) -> bool:
-    """True when ``" ".join(side.split()) == side`` for every side in ``text``.
+def _plain_blanks(text: str) -> Optional[List[int]]:
+    """The indices of the blank lines of ``text`` when it is canonical and every line valid.
 
-    That holds for text whose only whitespace is tab, newline and spaces
-    that each stand between two other characters, so that no side has
-    leading, trailing, doubled or other whitespace.  Past the one scan for
-    each wide space, decided in a few numpy passes over the UTF-8 bytes, in
-    which every byte of a non-ASCII character is 128 or more: substring
-    scans for each bad pair of characters cost about five times as much.
+    Canonical means ``" ".join(side.split()) == side`` for every side: the
+    only whitespace is tab, newline and spaces that each stand between two
+    other characters, so that no side has leading, trailing, doubled or
+    other whitespace.  In canonical text a line is valid when it is blank
+    (empty or tabs only) or holds exactly one tab, neither first nor last.
+    Otherwise None, and ``_bitext_sides`` normalises the lines or names
+    the bad one.  Past the one scan for each wide space, decided in a few
+    numpy passes over the UTF-8 bytes, in which every byte of a non-ASCII
+    character is 128 or more: substring scans for each bad pair of
+    characters cost about five times as much.
     """
     if not text.isascii() and any(space in text for space in _WIDE_SPACES):
-        return False
+        return None
     import numpy as np
 
-    # The newlines around the text put a space at either end next to whitespace.
+    # The newlines around the text end its first and last lines, and put a
+    # space at either end next to whitespace.
     codes = np.frombuffer(f"\n{text}\n".encode("utf-8"), dtype=np.uint8)
-    if np.count_nonzero(codes < 32) != np.count_nonzero((codes == 9) | (codes == 10)):
-        return False  # another control character, such as \v, \f or \x1c
+    newlines = np.flatnonzero(codes == 10)
+    tabs = np.flatnonzero(codes == 9)
+    if np.count_nonzero(codes < 32) != len(newlines) + len(tabs):
+        return None  # another control character, such as \v, \f or \x1c
     printable = codes > 32
-    return bool(np.all((printable[:-2] & printable[2:]) | (codes[1:-1] != 32)))
+    if not np.all((printable[:-2] & printable[2:]) | (codes[1:-1] != 32)):
+        return None
+    tab_counts = np.diff(np.searchsorted(tabs, newlines))  # per line
+    blank = tab_counts == np.diff(newlines) - 1
+    # A line that is not blank needs one tab, and that tab between two other
+    # characters; the tabs of a blank line never are.
+    inner = np.count_nonzero((codes[tabs - 1] > 10) & (codes[tabs + 1] > 10))
+    if not np.all(blank | (tab_counts == 1)) or inner != len(blank) - np.count_nonzero(blank):
+        return None
+    return np.flatnonzero(blank).tolist()
+
+
+#: ``read_bitext_lines`` reads this many characters at a time, so its working
+#: memory stays a few MiB whatever the size of the file.
+_CHUNK_CHARS = 1 << 18
+
+
+def _line_runs(handle) -> Iterator[str]:
+    """The text of ``handle`` in runs of whole lines, split at newlines that end a chunk.
+
+    Every run but the last loses the newline after it; the last is the text
+    after the last newline, so ``"\\n".join`` of the runs is the whole text.
+    """
+    carry = ""
+    for chunk in iter(functools.partial(handle.read, _CHUNK_CHARS), ""):
+        cut = chunk.rfind("\n")
+        if cut < 0:
+            carry += chunk
+        else:
+            yield carry + chunk[:cut]
+            carry = chunk[cut + 1 :]
+    yield carry
 
 
 @_utf8_located
@@ -206,19 +251,33 @@ def read_bitext_lines(path: PathLike) -> List[List[str]]:
     """A bitext file as documents of ``source<TAB>target`` lines, one per pair.
 
     Each line is the pair's sides with their tokens joined by single spaces,
-    built without splitting into tokens: a canonical file's lines come back
-    as they are, and any other file's sides have their whitespace normalised.
+    built without splitting into tokens.  The file is read in chunks of
+    about ``_CHUNK_CHARS`` characters cut at a line end: the lines of a
+    chunk that is canonical with only valid lines come back as they are,
+    and any other chunk goes line by line through ``_bitext_sides``, which
+    normalises the whitespace of its sides or names the bad line.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    canonical = _is_canonical(text)
     blocks: List[List[str]] = [[]]
-    for line, sides in zip(lines, _bitext_sides(path, lines)):
-        if sides is not None:
-            blocks[-1].append(line if canonical else "\t".join(" ".join(s.split()) for s in sides))
-        elif blocks[-1]:
-            blocks.append([])
+    start = 1  # the line number of a run's first line
+    with open(path, encoding="utf-8") as handle:
+        for run in _line_runs(handle):
+            lines = run.split("\n")
+            blanks = _plain_blanks(run)
+            if blanks is None:
+                blanks = []
+                for k, sides in enumerate(_bitext_sides(path, lines, start)):
+                    if sides is None:
+                        blanks.append(k)
+                    else:
+                        lines[k] = "\t".join(" ".join(side.split()) for side in sides)
+            begin = 0
+            for blank in blanks:  # a document may run on from the last run
+                blocks[-1] += lines[begin:blank]
+                if blocks[-1]:
+                    blocks.append([])
+                begin = blank + 1
+            blocks[-1] += lines[begin:]
+            start += len(lines)
     return [block for block in blocks if block]
 
 

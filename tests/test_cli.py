@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import segmt.align
 import segmt.augment
+import segmt.formats
 import segmt.rng
 import segmt.text
 from segmt.align import ALIGNMENT_NORMALIZATION
@@ -330,14 +332,18 @@ def bitext_files(draw):
     text=bitext_files(),
     p_max=st.sampled_from([0.01, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([3, segmt.formats._CHUNK_CHARS]),
 )
-def test_augment_matches_tokenised_oracle(tmp_path_factory, text, p_max, seed):
-    """``segmt augment`` writes what the per-pair oracle over read_bitext's pairs gives."""
+def test_augment_matches_tokenised_oracle(tmp_path_factory, text, p_max, seed, chunk):
+    """``segmt augment`` writes what the per-pair oracle over read_bitext's pairs gives.
+
+    That holds also when the bitext is read in chunks of a few characters.
+    """
     work = tmp_path_factory.getbasetemp()
     src, out, expected = work / "oracle_in.tsv", work / "oracle_out.tsv", work / "oracle.tsv"
     src.write_bytes(text.encode("utf-8"))
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(stdout), mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
         argv = ["augment", str(src), "-o", str(out), "--seed", str(seed), "--p-max", str(p_max)]
         assert main(argv) == 0
 
@@ -559,7 +565,7 @@ def test_mix_reads_a_shared_path_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == expected_stdout
 
 
-def test_mix_normalises_messy_bitext_like_tokenised_path(tmp_path, capsys):
+def test_mix_normalises_messy_bitext_like_tokenised_path(tmp_path, monkeypatch, capsys):
     messy = tmp_path / "messy.tsv"
     messy.write_bytes(
         "a  b \tx\r\n c\t y  z\r\n\t\nd\u00a0e\tw\u2028v\n\x1cf\tg\x0bh\rk\tl\n".encode("utf-8")
@@ -576,6 +582,11 @@ def test_mix_normalises_messy_bitext_like_tokenised_path(tmp_path, capsys):
     assert {"a b\tx", "c\ty z", "d e\tw v", "f\tg h", "k\tl"} <= set(
         out.read_text(encoding="utf-8").splitlines()
     )
+    # Read in chunks of a few characters, the files give the same mixture.
+    monkeypatch.setattr(segmt.formats, "_CHUNK_CHARS", 3)
+    assert main(mix_args(corpora, weights, 0.25, 9, 60, out)) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == expected_stdout
 
 
 def test_mix_invalid_utf8_names_line(tmp_path, capsys):

@@ -1,16 +1,19 @@
 import json
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from bitext_oracle import BitextPair, read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
+import segmt.formats
 from segmt.bleu import BleuReport
 from segmt.evaluate import LengthBucket, LengthBucketReport
 from segmt.formats import (
     ParseError,
     _WIDE_SPACES,
-    _is_canonical,
+    _plain_blanks,
     bleu_record,
     bucket_records,
     read_bitext_lines,
@@ -141,17 +144,28 @@ def test_bitext_origin_label(tmp_path):
 BITEXT_PIECES = ["a", "b", " ", "\t", "\n", "\r\n", "\r", "\u00a0", "\x1c", "\u2028", "\u00fc", "\u3000"]
 
 
+# Chunks this small cut the test files between lines, and between \r and \n.
+CHUNK_SIZES = [1, 2, 3, 7, segmt.formats._CHUNK_CHARS]
+
+
 def assert_bitext_readers_agree(path):
-    """``read_bitext_lines`` gives ``read_bitext``'s documents as joined lines, or its error."""
+    """``read_bitext_lines`` gives ``read_bitext``'s documents as joined lines, or its error.
+
+    The same holds whatever the size of the chunks the file is read in.
+    """
     try:
         blocks = read_bitext(path)
     except ParseError as err:
-        with pytest.raises(ParseError) as lines_err:
-            read_bitext_lines(path)
-        assert str(lines_err.value) == str(err)
+        for chunk in CHUNK_SIZES:
+            with mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
+                with pytest.raises(ParseError) as lines_err:
+                    read_bitext_lines(path)
+            assert str(lines_err.value) == str(err)
         return
     expected = [[" ".join(p.source) + "\t" + " ".join(p.target) for p in block] for block in blocks]
-    assert read_bitext_lines(path) == expected
+    for chunk in CHUNK_SIZES:
+        with mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
+            assert read_bitext_lines(path) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -192,6 +206,49 @@ def test_bitext_lines_reader_near_canonical(tmp_path, text):
     assert_bitext_readers_agree(path)
 
 
+def test_bitext_parse_error_in_a_later_chunk_names_its_line(tmp_path):
+    path = tmp_path / "bi.tsv"
+    path.write_text("a b\tc\n" * 10 + "\n" + "d\te\n" + "f g h\n" + "i\tj\n", encoding="utf-8")
+    for chunk in [1, 2, 3, 7, 40]:
+        with mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
+            with pytest.raises(ParseError) as err:
+                read_bitext_lines(path)
+        assert str(err.value) == f"{path}:13: expected 'source<TAB>target', got 1 fields"
+    assert_bitext_readers_agree(path)
+
+
+def test_bitext_crlf_split_across_reads(tmp_path):
+    # "a\tb\r" fills the first read of 4 characters; its "\n" comes in the next.
+    path = tmp_path / "bi.tsv"
+    path.write_bytes(b"a\tb\r\nc\td\r\n\r\ne\tf\r\n")
+    for chunk in range(1, 9):
+        with mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
+            assert read_bitext_lines(path) == [["a\tb", "c\td"], ["e\tf"]]
+    assert_bitext_readers_agree(path)
+
+
+def test_bitext_reader_memory_stays_bounded(tmp_path):
+    # A canonical file of 8 MiB or more: what the reader holds at its peak
+    # beyond the lines it returns must not grow with the file.
+    path = tmp_path / "big.tsv"
+    block = "".join(f"w{i} x{i % 7} y{i % 13} z\tq{i % 11} r{i} s{i % 5} t u v\n" for i in range(50))
+    with open(path, "w", encoding="utf-8") as handle:
+        for _ in range(6100):
+            handle.write(block + "\n")
+    assert path.stat().st_size >= 8 * 2**20
+    warm = tmp_path / "warm.tsv"
+    warm.write_text(block, encoding="utf-8")
+    read_bitext_lines(warm)  # imports numpy outside the traced read
+    tracemalloc.start()
+    try:
+        blocks = read_bitext_lines(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 6100 and blocks[-1][-1] == "w49 x0 y10 z\tq5 r49 s4 t u v"
+    assert peak - held < 4 * 2**20
+
+
 def test_wide_spaces_are_what_split_splits_on():
     wide = map(chr, range(128, sys.maxunicode + 1))
     splitters = {c for c in wide if len(f"a{c}a".split()) == 2}
@@ -211,7 +268,26 @@ def test_wide_spaces_are_what_split_splits_on():
     ],
 )
 def test_canonical_files_in_any_script(text, canonical):
-    assert _is_canonical(text) is canonical
+    assert (_plain_blanks(text) is not None) is canonical
+
+
+@pytest.mark.parametrize(
+    "text, blanks",
+    [
+        ("a\tb\n\t\t\n\nc d\te", [1, 2]),
+        ("a\tb\n", [1]),
+        ("\t", [0]),
+        ("", [0]),
+        ("ab\n", None),
+        ("a\tb\tc\n", None),
+        ("a\t\tb\n", None),
+        ("\ta\n", None),
+        ("a\t\n", None),
+        ("a\tb\n\ta\t\n", None),
+    ],
+)
+def test_plain_blanks_needs_one_inner_tab_per_pair(text, blanks):
+    assert _plain_blanks(text) == blanks
 
 
 def test_bitext_lines_round_trip(tmp_path):
@@ -256,10 +332,15 @@ def _assert_utf8_error_at_line_2(reader, path):
     assert str(err.value) == f"{path}:2: invalid UTF-8: byte 0xff at column 3"
 
 
+# The first line ends as text mode ends lines: at \n, \r\n or a lone \r.
+NEWLINES = [b"\n", b"\r\n", b"\r"]
+
+
 def test_documents_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "docs.txt"
-    path.write_bytes("café au lait\n".encode("utf-8") + b"b \xff c\n")
-    _assert_utf8_error_at_line_2(read_documents, path)
+    for newline in NEWLINES:
+        path.write_bytes("café au lait".encode("utf-8") + newline + b"b \xff c\n")
+        _assert_utf8_error_at_line_2(read_documents, path)
 
 
 def test_transcripts_invalid_utf8_names_line(tmp_path):
@@ -267,12 +348,16 @@ def test_transcripts_invalid_utf8_names_line(tmp_path):
     record = json.dumps(
         {"doc_id": "x", "words": [{"text": "é", "start": 0.0, "end": 0.1}]}, ensure_ascii=False
     )
-    path.write_bytes(record.encode("utf-8") + b"\n" + b'{"\xff": 1}\n')
-    _assert_utf8_error_at_line_2(read_transcripts, path)
+    for newline in NEWLINES:
+        path.write_bytes(record.encode("utf-8") + newline + b'{"\xff": 1}\n')
+        _assert_utf8_error_at_line_2(read_transcripts, path)
 
 
 def test_bitext_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "bi.tsv"
-    path.write_bytes("a\tü\n".encode("utf-8") + b"b\t\xff\n")
-    _assert_utf8_error_at_line_2(read_bitext, path)
-    _assert_utf8_error_at_line_2(read_bitext_lines, path)
+    for newline in NEWLINES:
+        path.write_bytes("a\tü".encode("utf-8") + newline + b"b\t\xff\n")
+        _assert_utf8_error_at_line_2(read_bitext, path)
+        for chunk in CHUNK_SIZES:
+            with mock.patch.object(segmt.formats, "_CHUNK_CHARS", chunk):
+                _assert_utf8_error_at_line_2(read_bitext_lines, path)
