@@ -7,7 +7,11 @@ four sequences drops or keeps ``ceil(p * len)`` tokens.  The result imitates
 a sentence that starts or breaks in the wrong place while keeping most of
 the first sentence's content and a short continuation from the second.
 Pairs are the canonical ``source<TAB>target`` lines of
-``formats.read_bitext_lines``, cut without splitting them into token lists.
+``formats.read_bitext_lines``, cut without splitting them into token lists:
+``augment_blocks`` cuts ``_MERGES_PER_BATCH`` merges at a time, numpy finding
+every cut point of a batch in its UTF-8 bytes (``_cut_batch``), and
+``augment_line`` is the one-pair case of that cut.  ``augment`` imports no
+``numpy.random``: ``rng.uniforms`` computes the fractions with numpy arithmetic.
 
 Mixing builds a training stream by repeatedly sampling a corpus by weight,
 then an original-versus-augmented pool, then a pair within the pool.  The
@@ -19,15 +23,19 @@ calls take over from there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import getitem
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .rng import Stream, make_rng, uniforms
 from .text import InputError
 
 Item = TypeVar("Item")
+
+# augment_blocks cuts this many merges at a time (see _cut_batch), so its
+# arrays stay small.
+_MERGES_PER_BATCH = 1024
 
 # build_training_mixture reads the PCG64 outputs of this many pairs of draws
 # at a time (five outputs a pair), so its arrays stay small.
@@ -72,49 +80,123 @@ class MixtureSpec:
             raise ValueError("augmented_fraction must be in [0, 1]")
 
 
-def _truncation(p: float, length: int) -> int:
-    if p < 0:
+def _check_line(line: str) -> None:
+    if line.count("\t") != 1 or "\n" in line:
+        raise ValueError(f"expected one source<TAB>target line, got {line!r}")
+
+
+def _cut_batch(lines: Sequence[str], fractions: Sequence[float]) -> List[str]:
+    """The merges of lines (0, 1), (2, 3), ..., merge k truncated by ``fractions[k]``.
+
+    A side of ``n`` spaces has ``n + 1`` tokens, and a merge keeps, of each
+    side, the first line's text after its ``ceil(p * len)``-th space and the
+    second line's text before it: the cut of ``split(" ", k)``.  numpy finds
+    the spaces, tabs and newlines of the batch's UTF-8 encoding in one pass,
+    counts each side's tokens between the tab or newline at either end, and
+    computes ``ceil(p * len)`` in float64, as ``math.ceil(p * len)`` does.
+    Python slices the four pieces of each merge and joins each side's two
+    with a space when both are non-empty.  Byte offsets become character
+    offsets by subtracting the UTF-8 continuation bytes before them.
+    """
+    import numpy as np
+
+    # The newline before the first line puts every side between two separators.
+    text = "\n" + "\n".join(lines) + "\n"
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero((codes == 32) | (codes == 9) | (codes == 10))
+    kinds = codes[seps]
+    # Valid lines make the tabs and newlines alternate: newline, tab, newline, ...
+    marks = np.flatnonzero(kinds != 32)
+    if len(marks) != 2 * len(lines) + 1 or np.any(kinds[marks[1::2]] != 9):
+        for line in lines:  # one of them is not a pair: name it
+            _check_line(line)
+    p = np.repeat(np.array(fractions, dtype=np.float64), 4)  # one per side
+    if not np.all(p >= 0):  # NaN too, which math.ceil refuses
         raise ValueError("p must be non-negative")
-    return math.ceil(p * length)
+
+    # Side i runs from separator marks[i] to marks[i + 1], so its count-th
+    # token ends at separator marks[i] + count.
+    lengths = np.diff(marks)
+    with np.errstate(over="ignore"):
+        products = p * lengths
+    if np.any(np.isinf(products)):
+        raise OverflowError("cannot convert float infinity to integer")
+    counts = np.minimum(np.ceil(products), lengths).astype(np.int64)
+    bounds = seps[marks]
+    cuts = seps[marks[:-1] + counts]
+    # Merge k's sides are 4k and 4k + 1 (the first line's source and target),
+    # then 4k + 2 and 4k + 3.  The first line keeps [cut + 1, end of side) and
+    # the second takes [start of side, cut).
+    offsets = np.stack((
+        cuts[0::4] + 1, bounds[1::4], bounds[2::4] + 1, cuts[2::4],
+        cuts[1::4] + 1, bounds[2::4], bounds[3::4] + 1, cuts[3::4],
+    ))
+    if len(codes) != len(text):
+        offsets -= np.searchsorted(np.flatnonzero((codes & 0xC0) == 0x80), offsets)
+
+    merged = []
+    for a, b, c, d, e, f, g, h in zip(*offsets.tolist()):
+        kept, taken = text[a:b], text[c:d]
+        source = f"{kept} {taken}" if kept and taken else kept or taken
+        kept, taken = text[e:f], text[g:h]
+        target = f"{kept} {taken}" if kept and taken else kept or taken
+        merged.append(f"{source}\t{target}")
+    return merged
 
 
 def augment_line(first: str, second: str, p: float) -> str:
     """Each side keeps its last ``len - ceil(p*len)`` tokens and takes the first ``ceil(p*len)``
     of the next line's side (``split(" ", k)`` cuts after k tokens).  ``p = 0`` returns ``first``;
-    any ``p > 0`` takes a token of each next side, so no output side is empty."""
-    sides = []
-    for head, tail in zip(first.split("\t"), second.split("\t")):
-        length = head.count(" ") + 1
-        drop = _truncation(p, length)
-        kept = head.split(" ", drop)[drop] if drop < length else ""
-        take = _truncation(p, tail.count(" ") + 1)
-        taken = " ".join(tail.split(" ", take)[:take])
-        sides.append(f"{kept} {taken}" if kept and taken else kept or taken)
-    return "\t".join(sides)
+    any ``p > 0`` takes a token of each next side, so no output side is empty.
+
+    Raises ``ValueError`` for a line without exactly one tab or with a newline,
+    and for a negative or NaN ``p``; ``OverflowError`` when ``p * len`` is infinite.
+    """
+    return _cut_batch([first, second], [p])[0]
+
+
+def _merged_batches(
+    blocks: Sequence[Sequence[str]], cfg: AugmentationConfig
+) -> Iterator[List[str]]:
+    # Every merge in corpus order, in batches of _MERGES_PER_BATCH.
+    lines: List[str] = []
+    indices: List[int] = []
+    offset = 0  # the running index of the block's first line
+    for block in blocks:
+        start, paired = 0, len(block) - len(block) % 2
+        while start < paired:
+            stop = min(paired, start + 2 * (_MERGES_PER_BATCH - len(indices)))
+            lines += block[start:stop]
+            indices += range(offset + start, offset + stop, 2)
+            start = stop
+            if len(indices) == _MERGES_PER_BATCH:
+                yield _cut_batch(lines, uniforms(cfg.seed, indices, cfg.p_max))
+                lines, indices = [], []
+        offset += len(block)
+    if indices:
+        yield _cut_batch(lines, uniforms(cfg.seed, indices, cfg.p_max))
 
 
 def augment_blocks(blocks: Sequence[Sequence[str]], cfg: AugmentationConfig) -> List[List[str]]:
-    """Merge lines (0,1), (2,3), ... of every document with :func:`augment_line`.
+    """Merge lines (0,1), (2,3), ... of every document as :func:`augment_line` does.
 
     Lines are numbered in corpus order, across documents.  Each merge draws
     ``p`` uniformly from [0, p_max) with a sub-stream derived from (seed,
-    index of its first line), so results do not depend on processing order;
-    the fractions of all documents come from one ``rng.uniforms`` call.  A
-    document's trailing unpaired line passes through unmodified.
+    index of its first line), so results do not depend on processing order.
+    The merges are cut ``_MERGES_PER_BATCH`` at a time, each batch's
+    fractions from one ``rng.uniforms`` call, so the working memory stays
+    small whatever the size of the corpus.  A document's trailing unpaired
+    line passes through unmodified.  A line without exactly one tab, or
+    with a newline, raises ``ValueError``.
     """
-    indices: List[int] = []
-    offset = 0
-    for block in blocks:
-        indices.extend(range(offset, offset + len(block) - 1, 2))
-        offset += len(block)
-    fractions = iter(uniforms(cfg.seed, indices, cfg.p_max))
+    merged = chain.from_iterable(_merged_batches(blocks, cfg))
     out = []
     for block in blocks:
-        pairs = range(0, len(block) - 1, 2)
-        merged = [augment_line(block[i], block[i + 1], next(fractions)) for i in pairs]
+        lines = list(islice(merged, len(block) // 2))
         if len(block) % 2 == 1:
-            merged.append(block[-1])
-        out.append(merged)
+            _check_line(block[-1])
+            lines.append(block[-1])
+        out.append(lines)
     return out
 
 

@@ -11,9 +11,10 @@ unlike Python's builtin ``hash``.
 common case of one uniform draw per integer index: it runs SeedSequence's
 pool mixing, PCG64's seeding and its first output for all indices at once
 and returns, bit for bit, the values the ``make_rng`` streams would give.
-It relies on the stream stability numpy guarantees for SeedSequence and
-PCG64 (NEP 19); ``tests/test_rng.py::test_uniforms_equal_make_rng_draws``
-checks it against ``make_rng``.
+PCG64's 128-bit arithmetic runs in pairs of uint64 arrays, with 32-bit
+limbs for the high word of a 64-bit product.  It relies on the stream
+stability numpy guarantees for SeedSequence and PCG64 (NEP 19); the
+``tests/test_rng.py::test_uniforms_*`` tests check it against ``make_rng``.
 
 ``Stream(seed, *context)`` serves the scalar ``random()`` and ``integers(n)``
 draws of a fresh ``make_rng(seed, *context)`` generator from bulk
@@ -185,6 +186,28 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
+def _add128(
+    x: Tuple[np.ndarray, np.ndarray], y: Tuple[np.ndarray, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    # x + y modulo 2**128 in (high, low) uint64 words: a low word that wraps carries one.
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < y[1]), low
+
+
+def _mul128(x: Tuple[np.ndarray, np.ndarray], const: int) -> Tuple[np.ndarray, np.ndarray]:
+    # x * const modulo 2**128 in uint64 words.  The high word of low * const's
+    # low word is built from 32-bit limbs, whose products fit in 64 bits; the
+    # other partial products only reach the high word, where they wrap.
+    high, low = x
+    c_high, c_low = const >> 64, const & _MASK64
+    c1, c0 = c_low >> 32, c_low & _MASK32
+    a1, a0 = low >> 32, low & _MASK32
+    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * c1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+    return carry + high * c_low + low * c_high, low * c_low
+
+
 def _seed_words(seed: Optional[int]) -> List[int]:
     # SeedSequence's split of an entropy integer: little-endian 32-bit words,
     # and one zero word for 0.
@@ -223,20 +246,16 @@ def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[f
     # little-endian 64-bit words s0..s3.
     constants = _hash_constants(_INIT_B, _MULT_B)
     state = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    halves = [(state[2 * k] | (state[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
+    s0, s1, s2, s3 = (state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4))
 
     # PCG64 seeding with initstate (s0, s1) and initseq (s2, s3): state 0,
     # inc = (initseq << 1) | 1, step, add initstate, step; then the first
-    # draw steps once more and emits XSL-RR.  next_double keeps 53 bits;
-    # uniform(0, high) is 0.0 + high * next_double.
-    mask128, mask64, mult_sq, mult_plus_1 = _MASK128, _MASK64, _PCG_MULT_SQ, _PCG_MULT_PLUS_1
-    out: List[float] = []
-    append = out.append
-    for s0, s1, s2, s3 in zip(*halves):
-        inc = ((s2 << 64 | s3) << 1 | 1) & mask128
-        pcg = ((inc + (s0 << 64 | s1)) * mult_sq + inc * mult_plus_1) & mask128
-        xored = ((pcg >> 64) ^ pcg) & mask64
-        rot = pcg >> 122
-        raw = ((xored >> rot) | (xored << (64 - rot))) & mask64
-        append(high * ((raw >> 11) * 2.0**-53))
-    return out
+    # draw steps once more and emits XSL-RR.  A 128-bit value is a (high,
+    # low) pair of uint64 arrays.  next_double keeps 53 bits; uniform(0,
+    # high) is 0.0 + high * next_double.
+    inc = (s2 << 1 | s3 >> 63, s3 << 1 | 1)
+    hi, lo = _add128(_mul128(_add128(inc, (s0, s1)), _PCG_MULT_SQ), _mul128(inc, _PCG_MULT_PLUS_1))
+    xored = hi ^ lo
+    rot = hi >> 58
+    raw = xored >> rot | xored << ((64 - rot) & 63)
+    return (high * ((raw >> 11) * _DOUBLE_UNIT)).tolist()

@@ -3,11 +3,12 @@
 ``read_bitext`` splits every side into a ``BitextPair``'s tokens and
 ``write_bitext`` joins them with single spaces; ``augment_pair`` cuts
 token lists and ``augment_blocks`` draws one fraction per merge, index by
-index.  ``segmt`` no longer has any of them: ``augment`` and ``mix`` read,
-cut and write ``source<TAB>target`` lines directly
-(``formats.read_bitext_lines``, ``augment.augment_line`` and
-``augment.augment_blocks``, whose fractions come from one
-``rng.uniforms`` call).  The tests check those against this obvious form.
+index, with its own generator.  ``segmt`` no longer has any of them:
+``augment`` and ``mix`` read, cut and write ``source<TAB>target`` lines
+directly (``formats.read_bitext_lines``, and ``augment.augment_blocks``,
+which cuts batches of merges at cut points numpy finds in their UTF-8
+bytes, one ``rng.uniforms`` call of fractions a batch; ``augment_line``
+is its one-pair case).  The tests check those against this obvious form.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import bitext_oracle
 import draw_oracle
 import pytest
-from bitext_oracle import BitextPair, as_line, augment_pair
+from bitext_oracle import BitextPair, as_line, augment_pair, read_bitext
 from hypothesis import example, given, settings, strategies as st
 
 from segmt import augment
@@ -15,6 +16,7 @@ from segmt.augment import (
     augment_line,
     build_training_mixture,
 )
+from segmt.formats import read_bitext_lines
 from segmt.rng import Stream, uniforms
 
 
@@ -69,10 +71,25 @@ def test_augment_pair_ceiling():
 
 
 def test_augment_pair_rejects_negative_p():
+    # math.ceil refuses NaN and infinity; the batch cut raises the same errors.
+    for p, error in [(-0.1, ValueError), (math.nan, ValueError), (math.inf, OverflowError)]:
+        with pytest.raises(error):
+            augment_pair(pair(["a"], ["b"]), pair(["c"], ["d"]), p)
+        with pytest.raises(error):
+            augment_line("a\tb", "c\td", p)
+
+
+@pytest.mark.parametrize("line", ["a b", "a\tb\tc", "a\tb\nc\td", ""])
+def test_augment_rejects_lines_without_one_tab(line):
+    cfg = AugmentationConfig(p_max=0.3, seed=1)
     with pytest.raises(ValueError):
-        augment_pair(pair(["a"], ["b"]), pair(["c"], ["d"]), -0.1)
+        augment_line(line, "c\td", 0.5)
     with pytest.raises(ValueError):
-        augment_line("a\tb", "c\td", -0.1)
+        augment_line("c\td", line, 0.5)
+    with pytest.raises(ValueError):
+        augment_blocks([["x\ty", "c\td"], ["c\td", line]], cfg)
+    with pytest.raises(ValueError):  # a trailing unpaired line too
+        augment_blocks([["x\ty", "c\td", line]], cfg)
 
 
 # Sides of 1, 2, 3, 7 and 10 tokens, with non-ASCII tokens, on either side of the merge.
@@ -80,7 +97,7 @@ LINE_SIDES = [["a"], ["\u00fc", "b"], ["x", "\u4e2d\u6587", "y"], [f"s{i}" for i
               [f"t{i}\u2019" for i in range(10)]]
 
 
-@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0), 1.0])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.05, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0), 1.0])
 def test_augment_line_matches_augment_pair(p):
     for first_source in LINE_SIDES:
         for second_source in LINE_SIDES:
@@ -157,6 +174,61 @@ def test_augment_blocks_match_augment_corpus_with_running_offsets(index_offset):
     assert batched == expected
     if index_offset == 0:
         assert augment_blocks(lines, cfg) == expected
+
+
+# Tokens of one to four UTF-8 bytes a character, so that cuts fall before and
+# after multi-byte text.
+MIXED_TOKENS = ["a", "bc", "\u00fc", "\u4e2d\u6587", "x\u2019", "\U0001f600b", "s1.2"]
+
+
+@st.composite
+def documents(draw):
+    """1-5 documents of 0-7 pairs, each side 1-9 mixed tokens."""
+    side = st.lists(st.sampled_from(MIXED_TOKENS), min_size=1, max_size=9).map(" ".join)
+    return draw(st.lists(st.lists(st.tuples(side, side), max_size=7), min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=documents(),
+    p_max=st.sampled_from([1e-300, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+    batch=st.sampled_from([1, 2, 3, augment._MERGES_PER_BATCH]),
+)
+def test_batch_cut_matches_per_pair_oracle(tmp_path_factory, docs, p_max, seed, batch):
+    """augment_blocks, cut in batches of any size, merges what the per-pair oracle merges
+    over read_bitext's pairs.  An empty document is an empty block on both sides."""
+    path = tmp_path_factory.getbasetemp() / "batch_cut.tsv"
+    text = "".join("".join(f"{s}\t{t}\n" for s, t in doc) + "\n" for doc in docs)
+    path.write_text(text, encoding="utf-8")
+    pairs, lines = iter(read_bitext(path)), iter(read_bitext_lines(path))
+    pair_blocks = [next(pairs) if doc else [] for doc in docs]
+    line_blocks = [next(lines) if doc else [] for doc in docs]
+    cfg = AugmentationConfig(p_max=p_max, seed=seed)
+    oracle = bitext_oracle.augment_blocks(pair_blocks, cfg)
+    expected = [list(map(as_line, block)) for block in oracle]
+    with mock.patch.object(augment, "_MERGES_PER_BATCH", batch):
+        assert augment_blocks(line_blocks, cfg) == expected
+
+
+def test_augment_blocks_working_memory_stays_small():
+    # 40,000 pairs of about 110 bytes: a numpy pass over the whole corpus
+    # holds tens of MiB, a batch of 1,024 merges under 2 MiB.
+    def side(prefix, i):
+        return " ".join(f"{prefix}{i % 97}.{k}" for k in range(6 + i % 9))
+
+    lines = [f"{side('s', i)}\t{side('t', i)}" for i in range(40_000)]
+    blocks = [lines[i : i + 50] for i in range(0, len(lines), 50)]
+    cfg = AugmentationConfig(p_max=0.3, seed=4)
+    augment_blocks(blocks[:1], cfg)  # imports numpy outside the trace
+    tracemalloc.start()
+    try:
+        merged = augment_blocks(blocks, cfg)
+        held, peak = tracemalloc.get_traced_memory()  # held: the merged lines
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, merged)) == 20_000
+    assert peak - held < 2 * 2**20
 
 
 def test_augment_corpus_output_structure():

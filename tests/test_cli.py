@@ -359,21 +359,21 @@ def test_augment_matches_tokenised_oracle(tmp_path_factory, text, p_max, seed, c
     ids=["canonical", "irregular"],
 )
 def test_augment_builds_no_token_pairs(tmp_path, monkeypatch, capsys, text):
-    # augment merges the canonical lines themselves: one augment_line call
-    # per merged pair, on the two raw lines.
+    # augment merges the canonical lines themselves: one batch cut of the
+    # two raw lines of the one merged pair.
     calls = []
-    merge = segmt.augment.augment_line
+    cut = segmt.augment._cut_batch
 
-    def counted(first, second, p):
-        calls.append((first, second))
-        return merge(first, second, p)
+    def counted(lines, fractions):
+        calls.append(list(lines))
+        return cut(lines, fractions)
 
-    monkeypatch.setattr(segmt.augment, "augment_line", counted)
+    monkeypatch.setattr(segmt.augment, "_cut_batch", counted)
     src = tmp_path / "bi.tsv"
     src.write_bytes(text.encode("utf-8"))
     out = tmp_path / "aug.tsv"
     assert main(["augment", str(src), "-o", str(out), "--seed", "3", "--p-max", "0.5"]) == 0
-    assert calls == [("a b\tx", "c\ty z")]
+    assert calls == [["a b\tx", "c\ty z"]]
     assert capsys.readouterr().out.splitlines()[-1] == "augmented 2 pair(s), skipped 0"
     assert out.read_text(encoding="utf-8").count("\n\n") == 1
 
@@ -998,6 +998,18 @@ def test_first_numpy_import_mid_call_gives_same_bytes(tmp_path, monkeypatch, arg
     monkeypatch.delenv("SEGMT_CONFIG", raising=False)
     assert main(argv + ["-o", "in_process.out"]) == 0
     assert (tmp_path / "fresh.out").read_bytes() == (tmp_path / "in_process.out").read_bytes()
+
+
+def test_augment_loads_no_numpy_random(tmp_path):
+    # augment computes its PCG64 draws with numpy arithmetic (rng.uniforms).
+    write_lines(tmp_path / "bi.tsv", "a b\tx\nc\ty z\n")
+    argv = ["augment", "bi.tsv", "-o", "out.tsv", "--seed", "1"]
+    result = run_fresh(
+        tmp_path, "from segmt.cli import main", f"assert main({argv!r}) == 0",
+        "print('numpy.random' in sys.modules)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_invalid_yaml_config_exit_code_in_fresh_process(tmp_path):

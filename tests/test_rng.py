@@ -1,4 +1,5 @@
 import contextlib
+import random
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,18 @@ def test_uniforms_equal_make_rng_draws(seed, indices, high):
 @pytest.mark.parametrize("high", HIGHS)
 def test_uniforms_edge_seeds_and_indices(seed, high):
     assert uniforms(seed, EDGE_INDICES, high) == oracle(seed, EDGE_INDICES, high)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_uniforms_bulk_equal_make_rng_draws(seed):
+    # Thousands of indices in one call: a carry of the 128-bit arithmetic
+    # taken from the wrong row would show in some of them.  numpy warns of no
+    # overflow, because the arrays wrap as 64-bit words.
+    draws = random.Random(2024)
+    indices = [draws.getrandbits(64) for _ in range(5000)]
+    indices += [2**32 - 1, 2**32 + 1, 2**63, 2**64 - 1]
+    assert uniforms(seed, indices, 0.3) == oracle(seed, indices, 0.3)
 
 
 def test_uniforms_empty_and_iterable_indices():
