@@ -28,6 +28,7 @@ from .augment import (
     augment_blocks,
     augment_line,
     build_training_mixture,
+    mixture_draws,
 )
 from .bleu import (
     BleuConfig,
@@ -118,6 +119,7 @@ __all__ = [
     "load_config",
     "make_error_variants",
     "make_rng",
+    "mixture_draws",
     "normalize",
     "normalize_document",
     "normalize_token",

@@ -25,7 +25,7 @@ immediately before each boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .text import (
     InputError,
@@ -88,6 +88,16 @@ class Alignment:
 MAX_ALIGN_CELLS = 2_000_000_000
 
 
+def check_budget(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]]) -> None:
+    """Raise ``InputError`` at the first ``(a, b)`` pair of token sequences over budget."""
+    for a, b in pairs:
+        if len(a) * len(b) > MAX_ALIGN_CELLS:
+            raise InputError(
+                f"alignment of {len(a)} x {len(b)} tokens exceeds the budget of "
+                f"{MAX_ALIGN_CELLS} cells (MAX_ALIGN_CELLS)"
+            )
+
+
 def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     """Both sequences as the comparison keys of their tokens, one per token.
 
@@ -146,11 +156,7 @@ def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
     """``(a_keys, b_keys, diag, down, left)``: per row i of D, ``diag`` bit j-1
     is D[i][j] == D[i-1][j-1], ``down`` bit j is D[i][j] == D[i-1][j] + 1 and
     ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_myers``)."""
-    if len(a) * len(b) > MAX_ALIGN_CELLS:
-        raise InputError(
-            f"alignment of {len(a)} x {len(b)} tokens exceeds the budget of "
-            f"{MAX_ALIGN_CELLS} cells (MAX_ALIGN_CELLS)"
-        )
+    check_budget([(a, b)])
     a_keys, b_keys = _comparison_keys(a, b, policy)
     # Row 0 (before any token of a): only inserts, every D[0][j] - D[0][j-1] = +1.
     diag, down, left = [0], [0], [(1 << len(b_keys)) - 1]

@@ -14,30 +14,29 @@ every cut point of a batch in its UTF-8 bytes (``_cut_batch``), and
 ``numpy.random``: ``rng.uniforms`` computes the fractions with numpy arithmetic.
 
 Mixing builds a training stream by repeatedly sampling a corpus by weight,
-then an original-versus-augmented pool, then a pair within the pool.  The
-draws replay one generator's scalar calls, but numpy makes them a block at a
-time from bulk PCG64 output, down to the draw where the regular pattern of
-outputs breaks (see ``build_training_mixture``); per-draw ``rng.Stream``
-calls take over from there.
+then an original-versus-augmented pool, then a pair within the pool.
+``mixture_draws`` hands the draws out a block at a time, as pool ids and
+indices.  They replay one generator's scalar calls, but numpy makes them
+from bulk PCG64 output, down to the draw where the regular pattern of outputs
+breaks; per-draw ``rng.Stream`` calls take over from there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import getitem
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rng import Stream, make_rng, uniforms
 from .text import InputError
-
-Item = TypeVar("Item")
 
 # augment_blocks cuts this many merges at a time (see _cut_batch), so its
 # arrays stay small.
 _MERGES_PER_BATCH = 1024
 
-# build_training_mixture reads the PCG64 outputs of this many pairs of draws
+# mixture_draws reads the PCG64 outputs of this many pairs of draws
 # at a time (five outputs a pair), so its arrays stay small.
 _PAIRS_PER_BLOCK = 1024
 
@@ -200,18 +199,18 @@ def augment_blocks(blocks: Sequence[Sequence[str]], cfg: AugmentationConfig) -> 
     return out
 
 
-def build_training_mixture(
-    corpora: Dict[str, Tuple[Sequence[Item], Sequence[Item]]],
-    spec: MixtureSpec,
-    total: int,
-) -> List[Item]:
-    """Sample ``total`` pairs with replacement according to the mixture spec.
+def mixture_draws(sizes: Dict[str, Tuple[int, int]], spec: MixtureSpec, total: int) -> Iterator:
+    """The ``total`` draws of the mixture, in blocks of ``(pool_ids, indices)`` lists.
 
-    ``corpora`` maps each label to its (originals, augmented) pools, whose
-    items may be anything standing for a pair (``mix`` uses ``(label, line)``).
+    ``sizes`` maps each label to its (originals, augmented) pool sizes; pool
+    ``2k`` is the originals of the k-th sorted label and ``2k + 1`` its augmented
+    pairs.  Weighted labels are checked in sorted order before anything is
+    drawn: ``ValueError`` for one missing from ``sizes``, ``InputError`` for one
+    with no originals, or none augmented while ``augmented_fraction > 0``.
+
     Each draw picks a corpus by weight, then the augmented pool with probability
     ``augmented_fraction`` (originals otherwise), then a uniform element: the
-    ``random()``, ``random()`` and ``integers(len(pool))`` calls of one
+    ``random()``, ``random()`` and ``integers(size)`` calls of one
     ``make_rng(spec.seed, "mixture")`` generator, so ``spec.seed`` fixes the result.
 
     The calls are replayed in bulk.  While every pool drawn from holds 2..2**32
@@ -222,47 +221,41 @@ def build_training_mixture(
     ``_PAIRS_PER_BLOCK`` pairs, each from one ``random_raw`` call.  It breaks
     at the first draw from a pool of one (whose index draws nothing) or
     whose index Lemire rejects; a ``Stream`` resumed at that draw's output
-    and buffered half makes the remaining draws one call at a time.  NEP 19
-    does not freeze numpy's ``integers`` algorithm, so
-    ``tests/test_augment.py::test_mixture_matches_per_draw_oracle``, against
-    the generator's own calls, is the guard.
+    and buffered half makes the remaining draws one call at a time, in
+    blocks of the same size.  NEP 19 does not freeze numpy's ``integers``
+    algorithm, so ``tests/test_augment.py::test_mixture_matches_per_draw_oracle``,
+    against the generator's own calls, is the guard.
     """
     labels = sorted(spec.corpus_weights)
     for label in labels:
-        if label not in corpora:
+        if label not in sizes:
             raise ValueError(f"mixture references unknown corpus {label!r}")
-        originals, augmented = corpora[label]
+        originals, augmented = sizes[label]
         if not originals:
             raise InputError(f"corpus {label!r} has no original pairs")
         if spec.augmented_fraction > 0 and not augmented:
-            raise InputError(
-                f"corpus {label!r} has no augmented pairs but augmented_fraction > 0"
-            )
-    cumulative = []
-    running = 0.0
-    for label in labels:
-        running += spec.corpus_weights[label]
-        cumulative.append((running, label))
+            raise InputError(f"corpus {label!r} has no augmented pairs but augmented_fraction > 0")
+    # A draw below bounds[k] and at or above bounds[k - 1] picks corpus k; past
+    # the last bound (the sum rounding below 1) the last corpus is taken.
+    bounds = list(accumulate(spec.corpus_weights[label] for label in labels))
+    return _draw_blocks([size for label in labels for size in sizes[label]], bounds, spec, total)
 
+
+def _draw_blocks(sizes: List[int], bounds: List[float], spec: MixtureSpec, total: int):
     import numpy as np
 
-    # Pool 2i holds label i's originals and pool 2i+1 its augmented pairs.  A
-    # pool the pattern cannot draw from (one item, or a size outside 2..2**32)
+    # A pool the pattern cannot draw from (one item, or a size outside 2..2**32)
     # gets scale 1 and threshold 2**32, so every draw from it breaks the pattern.
-    pools = [pool for label in labels for pool in corpora[label]]
-    sizes = [len(pool) if 2 <= len(pool) <= 1 << 32 else 0 for pool in pools]
-    scales = np.array([size or 1 for size in sizes], dtype=np.uint64)
-    thresholds = np.array(
-        [((1 << 32) - size) % size if size else 1 << 32 for size in sizes], dtype=np.uint64
-    )
-    bounds = np.array([bound for bound, _ in cumulative])
+    fits = [size if 2 <= size <= 1 << 32 else 0 for size in sizes]
+    scales = np.array([size or 1 for size in fits], dtype=np.uint64)
+    thresholds = np.array([((1 << 32) - n) % n if n else 1 << 32 for n in fits], dtype=np.uint64)
+    last = len(bounds) - 1
     mask32 = (1 << 32) - 1
 
     bit_generator = make_rng(spec.seed, "mixture").bit_generator
-    out: List[Item] = []
-    rng: Optional[Stream] = None  # set at the draw that breaks the pattern
-    while rng is None and len(out) < total:
-        count = min(2 * _PAIRS_PER_BLOCK, total - len(out))
+    drawn = 0
+    while drawn < total:
+        count = min(2 * _PAIRS_PER_BLOCK, total - drawn)
         # Row p holds pair p's five outputs: draw 2p's two uniforms, the output
         # whose low half is draw 2p's index half and whose high half is draw
         # 2p+1's (PCG64 buffers it), then draw 2p+1's two uniforms.
@@ -271,28 +264,39 @@ def build_training_mixture(
         u2 = (outputs[:, 1::3].ravel()[:count] >> 11) * 2.0**-53
         shared = outputs[:, 2]
         halves = np.stack((shared & mask32, shared >> 32), axis=1).ravel()[:count]
-        # searchsorted's "right" side is the first bound above u; past the
-        # last bound the last label is taken, as in the per-draw loop.
-        corpus = np.minimum(np.searchsorted(bounds, u, side="right"), len(labels) - 1)
+        corpus = np.minimum(np.searchsorted(bounds, u, side="right"), last)
         pool_ids = 2 * corpus + (u2 < spec.augmented_fraction)
         scaled = halves * scales[pool_ids]
         broken = np.flatnonzero((scaled & mask32) < thresholds[pool_ids])
         regular = int(broken[0]) if len(broken) else count
-        indices = (scaled[:regular] >> 32).tolist()
-        out.extend(map(getitem, map(pools.__getitem__, pool_ids[:regular].tolist()), indices))
+        yield pool_ids[:regular].tolist(), (scaled[:regular] >> 32).tolist()
+        drawn += regular
         if regular < count:
             pair, second = divmod(regular, 2)
             half = int(shared[pair]) >> 32 if second else None
             rng = Stream.resume(bit_generator, outputs[pair:].ravel()[3 * second :].tolist(), half)
+            break
 
-    for _ in range(total - len(out)):
-        u = rng.random()
-        label = labels[-1]  # guards against the cumulative sum rounding below 1
-        for bound, lab in cumulative:
-            if u < bound:
-                label = lab
-                break
-        originals, augmented = corpora[label]
-        pool = augmented if rng.random() < spec.augmented_fraction else originals
-        out.append(pool[rng.integers(len(pool))])
-    return out
+    while drawn < total:
+        pool_ids, indices = [], []
+        for _ in range(min(2 * _PAIRS_PER_BLOCK, total - drawn)):
+            pool = 2 * min(bisect_right(bounds, rng.random()), last)
+            pool += rng.random() < spec.augmented_fraction
+            pool_ids.append(pool)
+            indices.append(rng.integers(sizes[pool]))
+        yield pool_ids, indices
+        drawn += len(pool_ids)
+
+
+def build_training_mixture(
+    corpora: Dict[str, Tuple[Sequence, Sequence]], spec: MixtureSpec, total: int
+) -> List:
+    """``total`` items drawn from the ``(originals, augmented)`` pools of each label.
+
+    The items may be anything standing for a pair; the draws and checks are
+    those of :func:`mixture_draws` on the pools' sizes.
+    """
+    sizes = {label: tuple(map(len, pools)) for label, pools in corpora.items()}
+    draws = mixture_draws(sizes, spec, total)
+    pools = [pool for label in sorted(spec.corpus_weights) for pool in corpora[label]]
+    return [pools[pool][i] for pool_ids, indices in draws for pool, i in zip(pool_ids, indices)]

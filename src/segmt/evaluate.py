@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .align import ALIGNMENT_NORMALIZATION, cross_project, project_positions
+from .align import ALIGNMENT_NORMALIZATION, check_budget, cross_project, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
 from .text import NormalizationPolicy, SegmentedDocument, _cut, paired_documents
 
@@ -110,7 +110,9 @@ def _paired_segments(
 ) -> Tuple[List[List[str]], List[List[str]]]:
     hyp_segments: List[List[str]] = []
     ref_segments: List[List[str]] = []
-    for hyp_doc, ref_doc in paired_documents(hyp_docs, ref_docs):
+    pairs = paired_documents(hyp_docs, ref_docs)
+    check_budget((ref_doc.tokens(), hyp_doc.tokens()) for hyp_doc, ref_doc in pairs)
+    for hyp_doc, ref_doc in pairs:
         hyp_segments.extend(resegment_hypothesis(hyp_doc, ref_doc, policy))
         ref_segments.extend(ref_doc.segments)
     return hyp_segments, ref_segments

@@ -23,9 +23,9 @@ replays numpy's scalar ``integers`` algorithm (PCG64's buffered 32-bit
 halves and Lemire's rejection), which NEP 19 does not freeze;
 ``tests/test_rng.py::test_stream_equals_generator_draws`` is the guard
 against a numpy release that changes it.  ``Stream.resume`` continues the
-draws of a reader that took outputs itself: ``augment.build_training_mixture``
-computes the regular case of its draws from ``random_raw`` arrays and hands
-the rest, from the first draw that breaks the pattern, to a resumed stream.
+draws of a reader that took outputs itself: ``augment.mixture_draws`` computes
+the regular case of its draws from ``random_raw`` arrays and hands the rest,
+from the first draw that breaks the pattern, to a resumed stream.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the CLI, for the subcommands that draw nothing) does not load it.

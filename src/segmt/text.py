@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class InputError(ValueError):
@@ -69,8 +69,8 @@ class SegmentedDocument:
 
 def paired_documents(
     first: Sequence[SegmentedDocument], second: Sequence[SegmentedDocument]
-) -> Iterator[Tuple[SegmentedDocument, SegmentedDocument]]:
-    """``zip(first, second)``, refused with :class:`InputError` unless the counts match."""
+) -> List[Tuple[SegmentedDocument, SegmentedDocument]]:
+    """``list(zip(first, second))``, refused with :class:`InputError` unless the counts match."""
     if len(first) != len(second):
         paired = min(len(first), len(second))
         unpaired = (first if len(first) > paired else second)[paired]
@@ -78,7 +78,7 @@ def paired_documents(
             f"document count mismatch: {len(first)} vs {len(second)} documents; "
             f"first unpaired document {unpaired.doc_id}"
         )
-    return zip(first, second)
+    return list(zip(first, second))
 
 
 #: Bound of one policy's key memo: a memo that reaches it is cleared.

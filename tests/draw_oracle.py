@@ -9,12 +9,14 @@ the differential tests compare the package against them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
-from segmt.augment import Item, MixtureSpec
+from segmt.augment import MixtureSpec
 from segmt.noise import NoiseConfig
 from segmt.rng import make_rng
 from segmt.text import SegmentedDocument
+
+Item = TypeVar("Item")
 
 
 def _substitute(token: str, vocabulary: Sequence[str], rng) -> str:

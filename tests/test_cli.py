@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -587,6 +588,57 @@ def test_mix_normalises_messy_bitext_like_tokenised_path(tmp_path, monkeypatch, 
     assert main(mix_args(corpora, weights, 0.25, 9, 60, out)) == 0
     assert out.read_bytes() == expected.read_bytes()
     assert capsys.readouterr().out == expected_stdout
+
+
+def test_mix_input_error_leaves_the_output_alone(tmp_path, capsys):
+    # Every pool is checked before the output is opened: an existing file keeps
+    # its bytes, and none is made where there was none.
+    bi = write_lines(tmp_path / "bi.tsv", "a\tb\n")
+    empty = write_lines(tmp_path / "empty.tsv", "")
+    existing, absent = tmp_path / "existing.tsv", tmp_path / "absent.tsv"
+    existing.write_bytes(b"kept\tas is\n")
+    for out in (existing, absent):
+        assert main(mix_args({"a": (bi, empty)}, {"a": 1.0}, 0.3, 0, 5, out)) == 2
+        assert "corpus 'a' has no augmented pairs" in capsys.readouterr().err
+    assert existing.read_bytes() == b"kept\tas is\n"
+    assert not absent.exists()
+
+
+def test_mix_output_may_name_one_of_its_inputs(tmp_path, capsys):
+    # The pools are read in full before the output is opened.
+    lines = "".join(f"a{i}\tx{i}\n" for i in range(7))
+    original = write_lines(tmp_path / "a.tsv", lines)
+    augmented = write_lines(tmp_path / "aug.tsv", "u\tv\nw\ty z\n")
+    separate = tmp_path / "separate.tsv"
+    assert main(mix_args({"a": (original, augmented)}, {"a": 1.0}, 0.4, 3, 50, separate)) == 0
+    expected_stdout = capsys.readouterr().out
+    assert main(mix_args({"a": (original, augmented)}, {"a": 1.0}, 0.4, 3, 50, original)) == 0
+    assert capsys.readouterr().out == expected_stdout
+    assert Path(original).read_bytes() == separate.read_bytes()
+
+
+def test_mix_memory_does_not_grow_with_total(tmp_path):
+    # mix writes each block of draws as it is drawn, so its traced peak is set
+    # by the pools, not by --total.
+    a = write_lines(tmp_path / "a.tsv", "".join(f"a{i} b\tx{i} y\n" for i in range(2000)))
+    aug = write_lines(tmp_path / "aug.tsv", "".join(f"u{i}\tv{i} w\n" for i in range(500)))
+    b = write_lines(tmp_path / "b.tsv", "".join(f"b{i}\ty{i}\n" for i in range(1000)))
+    corpora = {"a": (a, aug), "b": (b, aug)}
+    out = tmp_path / "mix.tsv"
+
+    def traced_peak(total):
+        tracemalloc.start()
+        try:
+            assert main(mix_args(corpora, {"a": 0.7, "b": 0.3}, 0.3, 5, total, out)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main(mix_args(corpora, {"a": 0.7, "b": 0.3}, 0.3, 5, 10, out)) == 0  # imports
+    small = traced_peak(20_000)
+    large = traced_peak(200_000)
+    assert len(out.read_bytes().splitlines()) == 200_000
+    assert abs(large - small) < 2**20, (small, large)
 
 
 def test_mix_invalid_utf8_names_line(tmp_path, capsys):

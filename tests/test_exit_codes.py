@@ -295,6 +295,18 @@ def test_each_input_rejection_exits_2_with_its_message(tmp_path, monkeypatch):
                  ["score", docs, docs, "--resegment"], ["report", docs, docs]):
         code, err = run(argv)
         assert code == 2 and "5 x 5 tokens exceeds the budget" in err, (argv, err)
+    # Only the second pair (4 x 4) is over budget: the whole corpus is checked
+    # before the first alignment runs, so none does.
+    late = write(tmp_path / "late.txt", "a b\n\nc d\ne f\n")
+    myers = segmt.align._myers
+    calls = []
+    monkeypatch.setattr(segmt.align, "_myers", lambda *a: calls.append(a) or myers(*a))
+    for argv in (["project", late, late, "-o", out], ["variants", late, late, "-d", out],
+                 ["score", late, late, "--resegment"], ["report", late, late]):
+        code, err = run(argv)
+        assert code == 2 and "4 x 4 tokens exceeds the budget" in err, (argv, err)
+        assert calls == [], argv
+    assert run(["wer", late, late]) == (0, "")  # wer keeps no budget
 
 
 def test_nan_pause_threshold_exits_1_or_2_from_a_config(tmp_path):
