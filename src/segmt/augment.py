@@ -10,15 +10,17 @@ Pairs are the canonical ``source<TAB>target`` lines of
 ``formats.read_bitext_lines``, cut without splitting them into token lists:
 ``augment_blocks`` cuts ``_MERGES_PER_BATCH`` merges at a time, numpy finding
 every cut point of a batch in its UTF-8 bytes (``_cut_batch``), and
-``augment_line`` is the one-pair case of that cut.  ``augment`` imports no
-``numpy.random``: ``rng.uniforms`` computes the fractions with numpy arithmetic.
+``augment_line`` is the one-pair case of that cut.  Neither ``augment`` nor
+``mix`` imports ``numpy.random``: ``rng.uniforms`` computes the fractions, and
+``rng.PCG64Outputs`` the mixture's PCG64 outputs, with uint64 arithmetic.
 
 Mixing builds a training stream by repeatedly sampling a corpus by weight,
 then an original-versus-augmented pool, then a pair within the pool.
 ``mixture_draws`` hands the draws out a block at a time, as pool ids and
 indices.  They replay one generator's scalar calls, but numpy makes them
-from bulk PCG64 output, down to the draw where the regular pattern of outputs
-breaks; per-draw ``rng.Stream`` calls take over from there.
+from blocks of its PCG64 outputs (``rng.PCG64Outputs``), down to the draw
+where the regular pattern of outputs breaks; per-draw ``rng.Stream`` calls
+take over from there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import accumulate, chain, islice
 from operator import getitem
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .rng import Stream, make_rng, uniforms
+from .rng import PCG64Outputs, Stream, uniforms
 from .text import InputError
 
 # augment_blocks cuts this many merges at a time (see _cut_batch), so its
@@ -218,13 +220,14 @@ def mixture_draws(sizes: Dict[str, Tuple[int, int]], spec: MixtureSpec, total: i
     for its uniforms, and each pair of draws shares one more: the first takes
     its low 32 bits for the index and the second the high 32 bits, which
     PCG64 buffers.  numpy computes that pattern for blocks of
-    ``_PAIRS_PER_BLOCK`` pairs, each from one ``random_raw`` call.  It breaks
-    at the first draw from a pool of one (whose index draws nothing) or
-    whose index Lemire rejects; a ``Stream`` resumed at that draw's output
-    and buffered half makes the remaining draws one call at a time, in
-    blocks of the same size.  NEP 19 does not freeze numpy's ``integers``
-    algorithm, so ``tests/test_augment.py::test_mixture_matches_per_draw_oracle``,
-    against the generator's own calls, is the guard.
+    ``_PAIRS_PER_BLOCK`` pairs, each from one ``PCG64Outputs.random_raw``
+    call.  It breaks at the first draw from a pool of one (whose index draws
+    nothing) or whose index Lemire rejects; a ``Stream`` resumed at that
+    draw's output and buffered half makes the remaining draws one call at a
+    time, in blocks of the same size.  NEP 19 does not freeze numpy's
+    ``integers`` algorithm, so
+    ``tests/test_augment.py::test_mixture_matches_per_draw_oracle``, against
+    the generator's own calls, is the guard.
     """
     labels = sorted(spec.corpus_weights)
     for label in labels:
@@ -252,7 +255,7 @@ def _draw_blocks(sizes: List[int], bounds: List[float], spec: MixtureSpec, total
     last = len(bounds) - 1
     mask32 = (1 << 32) - 1
 
-    bit_generator = make_rng(spec.seed, "mixture").bit_generator
+    bit_generator = PCG64Outputs(spec.seed, "mixture")
     drawn = 0
     while drawn < total:
         count = min(2 * _PAIRS_PER_BLOCK, total - drawn)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -281,13 +282,25 @@ def read_bitext_lines(path: PathLike) -> List[List[str]]:
     return [block for block in blocks if block]
 
 
-def write_bitext_lines(path: PathLike, blocks: Iterable[Sequence[str]]) -> None:
-    """Write documents of ``source<TAB>target`` lines, a blank line between documents."""
+# write_bitext_lines joins and writes this many lines at a time.
+_LINES_PER_WRITE = 2048
+
+
+def write_bitext_lines(path: PathLike, blocks: Iterable[Iterable[str]]) -> None:
+    """Write documents of ``source<TAB>target`` lines, a blank line between documents.
+
+    A document may be any iterable of lines; it is written in slices of
+    ``_LINES_PER_WRITE`` lines, one join and one write each, so the memory
+    used stays one slice's whatever the length of the document.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         for i, block in enumerate(blocks):
             if i:
                 handle.write("\n")
-            handle.writelines(line + "\n" for line in block)
+            lines = iter(block)
+            while chunk := list(islice(lines, _LINES_PER_WRITE)):
+                chunk.append("")  # the last line's newline
+                handle.write("\n".join(chunk))
 
 
 def bleu_record(report: BleuReport) -> Dict:

@@ -7,14 +7,19 @@ so that per-item randomness is independent of processing order.  String
 context is hashed with BLAKE2b, which is stable across platforms and runs,
 unlike Python's builtin ``hash``.
 
-``make_rng`` is the one definition of a stream.  ``uniforms`` batches the
-common case of one uniform draw per integer index: it runs SeedSequence's
-pool mixing, PCG64's seeding and its first output for all indices at once
-and returns, bit for bit, the values the ``make_rng`` streams would give.
-PCG64's 128-bit arithmetic runs in pairs of uint64 arrays, with 32-bit
-limbs for the high word of a 64-bit product.  It relies on the stream
-stability numpy guarantees for SeedSequence and PCG64 (NEP 19); the
-``tests/test_rng.py::test_uniforms_*`` tests check it against ``make_rng``.
+``make_rng`` is the one definition of a stream.  Two users compute its
+outputs without ``numpy.random``, from ``_seeded``, which runs
+SeedSequence's pool mixing and PCG64's seeding for many contexts at once.
+``uniforms`` batches the common case of one uniform draw per integer
+index: the first output of each seeded state.  ``PCG64Outputs`` gives the
+``random_raw`` outputs of one stream, stepping PCG64 ahead in closed form:
+the state ``j`` steps on is ``M**j * s + (M**0 + ... + M**(j-1)) * inc``,
+taken from jump-ahead tables (Brown, "Random Number Generation with
+Arbitrary Strides", 1994).  PCG64's 128-bit arithmetic runs in pairs of
+uint64 arrays, with 32-bit limbs for the high word of a 64-bit product.
+Both rely on the stream stability numpy guarantees for SeedSequence and
+PCG64 (NEP 19); the ``tests/test_rng.py::test_uniforms_*`` and
+``test_pcg64_outputs_*`` tests check them against ``make_rng``.
 
 ``Stream(seed, *context)`` serves the scalar ``random()`` and ``integers(n)``
 draws of a fresh ``make_rng(seed, *context)`` generator from bulk
@@ -42,7 +47,6 @@ if TYPE_CHECKING:
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _DOUBLE_UNIT = 2.0**-53
 
 # SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4.
@@ -52,11 +56,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16  # a Python int: shifted uint32 arrays stay uint32
 
-# PCG64's 128-bit LCG multiplier; seeding and the first draw are three
-# steps state -> state * M + inc, folded here into M**2 and M + 1.
+# PCG64's 128-bit LCG multiplier M: a step is state -> state * M + inc.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _MASK128
-_PCG_MULT_PLUS_1 = _PCG_MULT + 1
 
 
 def _entropy_value(value) -> int:
@@ -161,22 +162,26 @@ class Stream:
         return scaled >> 32
 
 
-def _hash_constants(init: int, mult: int) -> Iterator[Tuple[np.uint32, np.uint32]]:
+def _hash_constants(init: int, mult: int, count: int) -> Tuple[List[int], List[int]]:
     # SeedSequence's hash constant runs through init * mult**k, whatever the
-    # data; each hash xors with one value and multiplies by the next.
-    import numpy as np
-
-    const = init
-    while True:
-        following = const * mult & _MASK32
-        yield np.uint32(const), np.uint32(following)
-        const = following
+    # data; hash k xors with constant k and multiplies by constant k + 1.
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants[:-1], constants[1:]
 
 
-def _hashmix(value: np.ndarray, constants: Iterator[Tuple[np.uint32, np.uint32]]) -> np.ndarray:
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
+# mix_entropy hashes the four pool words in, then each source word three
+# times; generate_state hashes eight output words.
+_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    # Row k of the result hashes row k of values (all of values if it is one
+    # row) with entry k of the xors and mults columns.
+    values = (values ^ xors) * mults
+    return values ^ (values >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -208,6 +213,13 @@ def _mul128(x: Tuple[np.ndarray, np.ndarray], const: int) -> Tuple[np.ndarray, n
     return carry + high * c_low + low * c_high, low * c_low
 
 
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    # PCG64's output for a state: its two words xored, rotated right by its top six bits.
+    xored = high ^ low
+    rot = high >> 58
+    return xored >> rot | xored << ((64 - rot) & 63)
+
+
 def _seed_words(seed: Optional[int]) -> List[int]:
     # SeedSequence's split of an entropy integer: little-endian 32-bit words,
     # and one zero word for 0.
@@ -215,47 +227,115 @@ def _seed_words(seed: Optional[int]) -> List[int]:
     return [value & _MASK32, value >> 32] if value >> 32 else [value]
 
 
-def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[float]:
-    """``float(make_rng(seed, i).uniform(0.0, high))`` for every integer ``i``, in one pass.
+def _seeded(
+    seed: Optional[int], contexts: np.ndarray
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """PCG64's ``(state, inc)`` once seeded as ``make_rng(seed, c)`` is, for each ``c``.
 
-    The seed's words and the index's low and high words fill the 4-word
-    pool.  A zero high word mixes exactly like an absent one, because pool
-    words beyond the entropy are hashed as zeros, so every row has the same
-    width.
+    ``contexts`` holds the 64-bit entropy values of the contexts (uint64);
+    each result is a (high, low) pair of uint64 arrays.  The seed's words and
+    the context's low and high words fill the 4-word pool.  A zero high word
+    mixes exactly like an absent one, because pool words beyond the entropy
+    are hashed as zeros, so every column has the same height.
     """
     import numpy as np
 
-    index_array = np.array([operator.index(i) & _MASK64 for i in indices], dtype=np.uint64)
-    count = len(index_array)
-    if not count:
-        return []
-    words = [np.full(count, word, dtype=np.uint32) for word in _seed_words(seed)]
-    words.append((index_array & np.uint64(_MASK32)).astype(np.uint32))
-    words.append((index_array >> np.uint64(32)).astype(np.uint32))
-    words += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    seed_words = _seed_words(seed)
+    words = np.zeros((_POOL_SIZE, len(contexts)), dtype=np.uint32)
+    words[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    words[len(seed_words)] = contexts & _MASK32
+    words[len(seed_words) + 1] = contexts >> 32
 
-    # SeedSequence.mix_entropy: hash each word in, then mix every pair.
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, constants) for word in words]
+    # SeedSequence.mix_entropy: hash each word in, then mix every pair.  A
+    # source word does not change in its own round, so its three hashes,
+    # one per destination, are one call.
+    xors = np.array(_POOL_XOR, dtype=np.uint32)[:, None]
+    mults = np.array(_POOL_MULT, dtype=np.uint32)[:, None]
+    pool = _hashmix(words, xors[:_POOL_SIZE], mults[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+        dsts = [dst for dst in range(_POOL_SIZE) if dst != src]
+        k = _POOL_SIZE + 3 * src
+        pool[dsts] = _mix(pool[dsts], _hashmix(pool[src], xors[k : k + 3], mults[k : k + 3]))
 
-    # SeedSequence.generate_state(4, uint64): eight 32-bit words, read as
-    # little-endian 64-bit words s0..s3.
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    state = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    s0, s1, s2, s3 = (state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4))
+    # SeedSequence.generate_state(4, uint64): eight 32-bit words hashed from
+    # pool words 0..3, 0..3, read as little-endian 64-bit words s0..s3.
+    xors = np.array(_STATE_XOR, dtype=np.uint32)[:, None]
+    mults = np.array(_STATE_MULT, dtype=np.uint32)[:, None]
+    state = _hashmix(np.concatenate((pool, pool)), xors, mults).astype(np.uint64)
+    s0, s1, s2, s3 = state[0::2] | state[1::2] << 32
 
     # PCG64 seeding with initstate (s0, s1) and initseq (s2, s3): state 0,
-    # inc = (initseq << 1) | 1, step, add initstate, step; then the first
-    # draw steps once more and emits XSL-RR.  A 128-bit value is a (high,
-    # low) pair of uint64 arrays.  next_double keeps 53 bits; uniform(0,
-    # high) is 0.0 + high * next_double.
+    # inc = (initseq << 1) | 1, step, add initstate, step.  A step is
+    # state -> state * M + inc.
     inc = (s2 << 1 | s3 >> 63, s3 << 1 | 1)
-    hi, lo = _add128(_mul128(_add128(inc, (s0, s1)), _PCG_MULT_SQ), _mul128(inc, _PCG_MULT_PLUS_1))
-    xored = hi ^ lo
-    rot = hi >> 58
-    raw = xored >> rot | xored << ((64 - rot) & 63)
+    return _add128(_mul128(_add128(inc, (s0, s1)), _PCG_MULT), inc), inc
+
+
+def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[float]:
+    """``float(make_rng(seed, i).uniform(0.0, high))`` for every integer ``i``, in one pass.
+
+    The first output of each seeded state: one step, then XSL-RR.
+    ``next_double`` keeps 53 bits; ``uniform(0, high)`` is ``0.0 + high * next_double``.
+    """
+    import numpy as np
+
+    contexts = np.array([operator.index(i) & _MASK64 for i in indices], dtype=np.uint64)
+    if not len(contexts):
+        return []
+    state, inc = _seeded(seed, contexts)
+    raw = _xsl_rr(*_add128(_mul128(state, _PCG_MULT), inc))
     return (high * ((raw >> 11) * _DOUBLE_UNIT)).tolist()
+
+
+# PCG64Outputs steps by jump-ahead tables: the state j steps after s is
+# A_j * s + G_j * inc, with A_j = M**j and G_j = M**0 + ... + M**(j - 1)
+# modulo 2**128.  _jumps holds them for j = 1..len as four uint64 rows (the
+# high and low words of A, then of G), grown by doubling to at most
+# _MAX_JUMP steps (256 KiB); longer reads take several blocks.  They depend
+# on M alone, so every stream shares them.
+_MAX_JUMP = 1 << 13
+_jumps: Optional[np.ndarray] = None
+
+
+def _jump_table(count: int) -> np.ndarray:
+    global _jumps
+    import numpy as np
+
+    if _jumps is None:
+        _jumps = np.array([[_PCG_MULT >> 64], [_PCG_MULT & _MASK64], [0], [1]], dtype=np.uint64)
+    while _jumps.shape[1] < count:
+        # A_{k+j} = A_j * A_k and G_{k+j} = G_k + A_k * G_j, for j = 1..k.
+        a_high, a_low, g_high, g_low = (int(word) for word in _jumps[:, -1])
+        a_k = a_high << 64 | a_low
+        grown = _mul128(_jumps[:2], a_k) + _add128(_mul128(_jumps[2:], a_k), (g_high, g_low))
+        _jumps = np.concatenate((_jumps, np.stack(grown)), axis=1)
+    return _jumps
+
+
+class PCG64Outputs:
+    """The outputs of ``make_rng(seed, context).bit_generator``, by jump-ahead.
+
+    ``random_raw(count)`` returns, bit for bit, what the bit generator's
+    ``random_raw(count)`` does, over any sequence of calls, without loading
+    ``numpy.random``.  ``context`` is one int or string.  A block is the
+    XSL-RR output of the states ``A_j * s + G_j * inc``, j = 1..count, from
+    the jump-ahead tables; the state ``s`` is a Python int between calls.
+    """
+
+    def __init__(self, seed: Optional[int], context):
+        import numpy as np
+
+        state, inc = _seeded(seed, np.array([_entropy_value(context)], dtype=np.uint64))
+        self._state, self._inc = (int(high[0]) << 64 | int(low[0]) for high, low in (state, inc))
+
+    def random_raw(self, count: int) -> np.ndarray:
+        import numpy as np
+
+        blocks = []
+        for start in range(0, count, _MAX_JUMP):
+            size = min(count - start, _MAX_JUMP)
+            jumps = _jump_table(size)[:, :size]
+            high, low = _add128(_mul128(jumps[:2], self._state), _mul128(jumps[2:], self._inc))
+            self._state = int(high[-1]) << 64 | int(low[-1])
+            blocks.append(_xsl_rr(high, low))
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)

@@ -1064,6 +1064,31 @@ def test_augment_loads_no_numpy_random(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, loads_random",
+    [
+        (["mix", "--corpus", "a=bi.tsv:bi.tsv", "--weight", "a=1", "--total", "40",
+          "--augmented-fraction", "0.5", "--seed", "1", "-o", "out.tsv"], False),
+        (["augment", "bi.tsv", "--seed", "1", "-o", "out.tsv"], False),
+        # simulate draws from make_rng streams: the probe can see numpy.random.
+        (["simulate", "ref.txt", "--seed", "9", "--substitution-rate", "0.2",
+          "--merge-rate", "0.3", "-o", "out.txt"], True),
+    ],
+    ids=["mix", "augment", "simulate"],
+)
+def test_only_simulate_loads_numpy_random(tmp_path, argv, loads_random):
+    # mix and augment compute their PCG64 outputs with numpy arithmetic
+    # (rng.PCG64Outputs and rng.uniforms).
+    write_startup_fixture(tmp_path)
+    write_lines(tmp_path / "bi.tsv", "a b\tx\nc\ty z\nd\tw\n")
+    result = run_fresh(
+        tmp_path, "from segmt.cli import main", f"assert main({argv!r}) == 0",
+        "print('numpy.random' in sys.modules)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_random)
+
+
 def test_invalid_yaml_config_exit_code_in_fresh_process(tmp_path):
     write_startup_fixture(tmp_path)
     write_lines(tmp_path / "bad.yaml", "a: [unclosed\n")

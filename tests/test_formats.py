@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from bitext_oracle import BitextPair, read_bitext, write_bitext
+from bitext_oracle import BitextPair, as_line, read_bitext, write_bitext
 from hypothesis import given, settings, strategies as st
 
 import segmt.formats
@@ -295,6 +295,24 @@ def test_bitext_lines_round_trip(tmp_path):
     write_bitext_lines(path, [["a b\tx", "c\ty z"], ["d\tw"]])
     assert path.read_text(encoding="utf-8") == "a b\tx\nc\ty z\n\nd\tw\n"
     assert read_bitext_lines(path) == [["a b\tx", "c\ty z"], ["d\tw"]]
+
+
+def test_sliced_writer_matches_per_line_writer(tmp_path):
+    # A generator document of about 2.5 slices, then documents of one, two,
+    # one and exactly one slice's lines.
+    slice_lines = segmt.formats._LINES_PER_WRITE
+    pairs = [
+        [BitextPair([f"s{i}", "é"], [f"t{i}"]) for i in range(5 * slice_lines // 2)],
+        [BitextPair(["one"], ["line"])],
+        [BitextPair(["a"], ["b"]), BitextPair(["c"], ["d e"])],
+        [BitextPair(["last"], ["one"])],
+        [BitextPair([f"u{i}"], ["v"]) for i in range(slice_lines)],
+    ]
+    first = (as_line(pair) for pair in pairs[0])
+    rest = [[as_line(pair) for pair in block] for block in pairs[1:]]
+    write_bitext_lines(tmp_path / "sliced.tsv", [first, *rest])
+    write_bitext(tmp_path / "per_line.tsv", pairs)
+    assert (tmp_path / "sliced.tsv").read_bytes() == (tmp_path / "per_line.tsv").read_bytes()
 
 
 def test_report_records(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segmt import rng
-from segmt.rng import Stream, make_rng, uniforms
+from segmt.rng import PCG64Outputs, Stream, make_rng, uniforms
 
 EDGE_SEEDS = [None, 0, 1, -1, -(2**40) - 3, 2**32 - 1, 2**32, 2**33 + 9, 2**64 - 1, np.int64(11)]
 EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -62,6 +62,38 @@ def test_uniforms_empty_and_iterable_indices():
 def test_uniforms_rejects_non_integer_index():
     with pytest.raises(TypeError):
         uniforms(3, [1.5], 0.3)
+
+
+# Consecutive random_raw calls: from one step, the tables double to cover 5
+# and then 5,119 outputs, and 20,000 outputs take three blocks of at most
+# rng._MAX_JUMP.
+PCG64_CALLS = [0, 1, 5, 5119, 5121, 20000]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("context", ["mixture", 7, 2**40 + 1])
+@pytest.mark.parametrize("seed", [None, 0, 2**32 + 5, 2**64 + 3])
+def test_pcg64_outputs_equal_bit_generator(seed, context):
+    reference = make_rng(seed, context).bit_generator
+    with mock.patch.object(rng, "_jumps", None):  # grown from one step in this test
+        outputs = PCG64Outputs(seed, context)
+        for count in PCG64_CALLS:
+            drawn = outputs.random_raw(count)
+            assert drawn.dtype == np.uint64
+            assert drawn.tolist() == reference.random_raw(count).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.none(), st.integers(min_value=-(2**64), max_value=2**66)),
+    context=st.one_of(st.text(max_size=8), st.integers(min_value=-(2**64), max_value=2**65)),
+    calls=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+)
+def test_pcg64_outputs_any_seed_context_and_calls(seed, context, calls):
+    reference = make_rng(seed, context).bit_generator
+    outputs = PCG64Outputs(seed, context)
+    for count in calls:
+        assert outputs.random_raw(count).tolist() == reference.random_raw(count).tolist()
 
 
 # integers(n) sizes: n == 1 draws nothing; 3 * 2**30 rejects about a quarter
