@@ -3,20 +3,27 @@
 Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
 exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
-backtrace reads its options from those bits (Hyyro 2004).  Tokens are
-compared by their keys under a ``NormalizationPolicy``, read from that
-policy's memo in ``text.KEY_MEMOS``, so each distinct token is normalized
-once per process, not once per call.  The tie order is fixed: when costs
-tie, the backtrace takes match, then substitute, then delete, then insert,
-so identical inputs always produce identical edit scripts.  All aligners
-share one forward pass and one backtrace; projection reads positions off
-the backtrace, with no ``EditOp`` objects.  The table of (b, a) is the
-transpose of that of (a, b), so ``variants`` (``cross_project``) runs one
-forward pass and two backtraces.  The one from b to a tries insert before
-delete: a's inserts are b's deletes, so it follows the tie order as
-aligning b to a would.  The recurrence runs in one loop (``_myers``).  The
-kept rows limit one alignment to ``MAX_ALIGN_CELLS`` cells; distance alone
-keeps only the current row and reads the distance off the last one.
+backtrace reads its options from those bits (Hyyro 2004).  On long rows the
+pass computes only a diagonal band of the table, as in Hyyro's banded
+bit-vector (2003): a window of 2K+1+|m-n| columns that moves one column per
+row.  A prefix sample sizes the first band.  Ukkonen's bound (1985) tells
+whether the band's distance is exact; if not, that distance sizes a second
+band that cannot fail, so no pair takes more than two passes.  Rows shorter
+than ``BAND_MIN_COLUMNS``, and bands wider than half the row, run the full
+row.  Tokens are compared by their keys under a ``NormalizationPolicy``,
+read from that policy's memo in ``text.KEY_MEMOS``, so each distinct token
+is normalized once per process, not once per call.  The tie order is
+fixed: when costs tie, the backtrace takes match, then substitute, then
+delete, then insert, so identical inputs always produce identical edit
+scripts, banded or not.  All aligners share one forward pass and one backtrace; projection reads
+positions off the backtrace, with no ``EditOp`` objects.  The table of
+(b, a) is the transpose of that of (a, b), so ``variants``
+(``cross_project``) runs one forward pass and two backtraces.  The one from
+b to a tries insert before delete: a's inserts are b's deletes, so it
+follows the tie order as aligning b to a would.  The recurrence runs in one
+loop, ``_myers`` on full rows or ``_banded`` on a band.  Full rows limit one
+alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only the
+current row and reads the distance off the last one.
 Boundary projection transfers segment boundaries from one transcript onto
 another transcript's tokens by following the alignment of the token
 immediately before each boundary.
@@ -82,10 +89,24 @@ class Alignment:
 
 
 #: Size budget of one alignment in DP cells (tokens of a times tokens of b).
-#: The kept rows take three bits a cell: 30k x 30k tokens peak at 311 MiB, so
-#: this budget (about 45k x 45k) stays near 700 MiB.  A larger pair raises
+#: Full rows take three bits a cell: 30k x 30k tokens peak at 311 MiB, so
+#: this budget (about 45k x 45k) stays near 700 MiB.  A band keeps fewer
+#: bits, but a pair whose band would be wider than half the row runs on full
+#: rows, so the budget still sizes that fallback.  A larger pair raises
 #: ``InputError`` before any row is kept; ``edit_distance`` needs no budget.
 MAX_ALIGN_CELLS = 2_000_000_000
+
+#: Rows (tokens of ``b``) shorter than this run the full row, with no band and
+#: no sample.  Below it the band's per-row shift costs more than its narrower
+#: ints save: sample and band took 1.12-1.16 times the full row's time at
+#: 1,536 columns, and 0.89-0.98 times at 2,048 (5-30% noise, 2 cores).
+BAND_MIN_COLUMNS = 2048
+
+#: Tokens of each side whose distance sizes the first band (``_first_band``).
+BAND_SAMPLE = 256
+
+#: Width of the first band over the distance that the sample estimates.
+BAND_SLACK = 1.25
 
 
 def check_budget(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]]) -> None:
@@ -152,16 +173,110 @@ def _myers(a_keys: Sequence[str], b_keys: Sequence[str], rows=None) -> int:
     return len(a_keys) + vp.bit_count() - vn.bit_count()
 
 
+def _banded(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
+    """``_myers`` on a window of ``width`` columns per row; returns D'[n][m] >= D[n][m].
+
+    Row i holds the columns c+1 .. c+width, with c = clamp(i + lo - 1, 0,
+    m - width): the diagonals j - i = ``lo`` .. ``lo + width - 1`` and,
+    through the middle rows, one column further right than the row before.
+    On that move the row before loses its first delta, which the border
+    value takes, and gains the next column at +1 (``top``), the cost through
+    its left neighbour.  The border column c counts D'[i][c] = D'[i-1][c] + 1
+    as ``_myers`` counts column 0.  So every D' is the cost of some path, and
+    every path inside the window counts: D' = D on every cell that an
+    optimal path inside the band reaches.  With ``rows`` = ``(diag, down,
+    left, starts)``, row i's ``d0``, ``hp`` and ``vp`` are kept as in
+    ``_myers`` but c bits lower, and c itself in ``starts``.
+    """
+    m = len(b_keys)
+    mask = (1 << width) - 1
+    top = 1 << (width - 1)
+    last = m - width
+    peq: dict = {}
+    for j, t in enumerate(b_keys):
+        peq[t] = peq.get(t, 0) | 1 << j
+    if rows is not None:
+        keep_diag, keep_down, keep_left, keep_start = (kept.append for kept in rows)
+    vp, vn = mask, 0  # row 0: D[0][j] = j
+    c = dropped = 0  # dropped: D'[i][c] - i, what the border value took
+    for i, t in enumerate(a_keys, lo):  # i = row + lo - 1, c before the clamp
+        if 0 < i <= last:
+            dropped += (vp & 1) - (vn & 1)
+            vp = vp >> 1 | top
+            vn >>= 1
+            c = i
+        x = peq.get(t, 0) >> c | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hp = (vn | mask ^ (d0 | vp)) << 1 | 1
+        hn = (vp & d0) << 1
+        vp = (hn | (d0 | hp) ^ mask) & mask
+        vn = hp & d0
+        if rows is not None:
+            keep_diag(d0)
+            keep_down(hp)
+            keep_left(vp)
+            keep_start(c)
+    return len(a_keys) + dropped + vp.bit_count() - vn.bit_count()
+
+
+def _first_band(a_keys: Sequence[str], b_keys: Sequence[str]) -> int:
+    """Half-width K of the first band, sized from the distance of a prefix sample.
+
+    The first ``BAND_SAMPLE`` tokens of each side give an error count e.
+    e + 2 sqrt(e) + 1 errors per sample, over the shorter side, estimate the
+    errors besides the |m-n| that the band's width adds anyway, from above;
+    the band is made ``BAND_SLACK`` times that wide, so errors that thicken
+    after the prefix still pass Ukkonen's check.
+    """
+    n, m = len(a_keys), len(b_keys)
+    sample = min(n, m, BAND_SAMPLE)
+    if not sample:
+        return 0
+    errors = _myers(a_keys[:sample], b_keys[:sample])
+    return int(BAND_SLACK * (errors + 2 * errors**0.5 + 1) * min(n, m) / sample) // 2
+
+
+def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
+    """``(distance, rows)``: the exact distance, and with ``keep`` the rows of its pass.
+
+    Any path through a cell off the diagonals min(0, m-n) - K .. max(0, m-n)
+    + K costs at least 2K + 2 + |m-n| (Ukkonen, Information and Control 64,
+    1985).  So a band of half-width K (``width`` = 2K + 1 + |m-n| columns)
+    whose D'[n][m] is at most ``width`` has found the distance, and holds
+    every optimal path: the backtrace on its rows makes the same choices as
+    on the full rows.  Otherwise D'[n][m] bounds the distance and sizes a
+    second band that cannot fail.  A band wider than half the row, or a row
+    shorter than ``BAND_MIN_COLUMNS``, runs as the full row (``_myers``).
+    ``rows`` is ``(diag, down, left, starts)``; ``starts[i]`` is the column
+    before row i's bit 0.
+    """
+    n, m = len(a_keys), len(b_keys)
+    skew = abs(m - n)
+    k = _first_band(a_keys, b_keys) if m >= BAND_MIN_COLUMNS else m  # K = m: the full row
+    for _ in range(2):
+        width = 2 * k + 1 + skew
+        if 2 * width > m:
+            break
+        rows = ([0], [0], [(1 << width) - 1], [0]) if keep else None
+        distance = _banded(a_keys, b_keys, min(0, m - n) - k, width, rows)
+        if distance <= width:
+            return distance, rows
+        # The smallest K whose width holds D'[n][m] >= D[n][m]: it cannot fail.
+        k = (distance - skew) // 2
+    rows = ([0], [0], [(1 << m) - 1]) if keep else None
+    distance = _myers(a_keys, b_keys, rows)
+    return distance, (*rows, [0] * (n + 1)) if keep else None
+
+
 def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
-    """``(a_keys, b_keys, diag, down, left)``: per row i of D, ``diag`` bit j-1
-    is D[i][j] == D[i-1][j-1], ``down`` bit j is D[i][j] == D[i-1][j] + 1 and
-    ``left`` bit j-1 is D[i][j] == D[i][j-1] + 1 (see ``_myers``)."""
+    """``(a_keys, b_keys, diag, down, left, starts)``: per row i of D, with
+    c = ``starts[i]``, ``diag`` bit j-1-c is D[i][j] == D[i-1][j-1], ``down``
+    bit j-c is D[i][j] == D[i-1][j] + 1 and ``left`` bit j-1-c is
+    D[i][j] == D[i][j-1] + 1 (see ``_myers`` and ``_passes``).  Row 0 is
+    before any token of a: only inserts, every D[0][j] - D[0][j-1] = +1."""
     check_budget([(a, b)])
     a_keys, b_keys = _comparison_keys(a, b, policy)
-    # Row 0 (before any token of a): only inserts, every D[0][j] - D[0][j-1] = +1.
-    diag, down, left = [0], [0], [(1 << len(b_keys)) - 1]
-    _myers(a_keys, b_keys, (diag, down, left))
-    return a_keys, b_keys, diag, down, left
+    return (a_keys, b_keys, *_passes(a_keys, b_keys, keep=True)[1])
 
 
 def _backtrace(forward, b_to_a: bool = False) -> List[str]:
@@ -171,23 +286,25 @@ def _backtrace(forward, b_to_a: bool = False) -> List[str]:
     its insert test ``down``.  So with ``b_to_a`` the same rows yield the
     script from ``b`` to ``a`` (in a's kinds).
     """
-    a_keys, b_keys, diag, down, left = forward
+    a_keys, b_keys, diag, down, left, starts = forward
     kinds: List[str] = []
     i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
         # Equal tokens always give D[i][j] == D[i-1][j-1]: no cost check needed.
         if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
             kind = MATCH
-        elif i > 0 and j > 0 and not diag[i] >> (j - 1) & 1:
-            kind = SUBSTITUTE
-        elif not b_to_a and i > 0 and down[i] >> j & 1:
-            kind = DELETE
-        elif j > 0 and left[i] >> (j - 1) & 1:
-            kind = INSERT
-        elif i > 0 and down[i] >> j & 1:
-            kind = DELETE
         else:
-            raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
+            k = j - starts[i]  # column j is bit k-1 of row i
+            if i > 0 and j > 0 and not diag[i] >> (k - 1) & 1:
+                kind = SUBSTITUTE
+            elif not b_to_a and i > 0 and down[i] >> k & 1:
+                kind = DELETE
+            elif j > 0 and left[i] >> (k - 1) & 1:
+                kind = INSERT
+            elif i > 0 and down[i] >> k & 1:
+                kind = DELETE
+            else:
+                raise RuntimeError(f"backtrace stuck at cell ({i}, {j})")
         i -= kind != INSERT
         j -= kind != DELETE
         kinds.append(kind)
@@ -201,9 +318,9 @@ def levenshtein_align(
 
     Deterministic: DP cost ties are broken in one fixed order (see the
     module docstring), so repeated calls yield identical scripts.  The forward
-    pass keeps three m-bit vectors per row of ``a`` (see ``_forward``), from
-    which the backtrace reads every step's options in O(1) without
-    materializing the cost table.
+    pass keeps three vectors of at most m bits per row of ``a`` (see
+    ``_forward``), from which the backtrace reads every step's options in O(1)
+    without materializing the cost table.
     Raises ``InputError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
     """
     forward = _forward(a, b, policy)
@@ -222,10 +339,11 @@ def edit_distance(
 ) -> int:
     """Levenshtein distance under the ``policy`` comparison normalization.
 
-    Runs the bit-parallel forward pass keeping only the current row, so
-    memory is O(len(b)); the distance is read off the last row.
+    Runs the bit-parallel forward pass (on a band when the rows are long, see
+    ``_passes``) keeping only the current row, so memory is O(len(b)); the
+    distance is read off the last row.
     """
-    return _myers(*_comparison_keys(a, b, policy))
+    return _passes(*_comparison_keys(a, b, policy))[0]
 
 
 def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int, int]:
@@ -237,7 +355,7 @@ def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int
     """
     ref = normalize(reference, STRIPPED)
     hyp = normalize(hypothesis, STRIPPED)
-    return _myers(ref, hyp), len(ref)  # the stripped tokens are their own comparison keys
+    return _passes(ref, hyp)[0], len(ref)  # the stripped tokens are their own comparison keys
 
 
 def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 
@@ -29,7 +30,7 @@ from segmt.align import (
     wer,
     wer_counts,
 )
-from segmt.text import NormalizationPolicy, SegmentedDocument, flatten
+from segmt.text import STRIPPED, NormalizationPolicy, SegmentedDocument, flatten, normalize
 
 #: Compare tokens literally, with no case or punctuation folding.
 PLAIN = NormalizationPolicy()
@@ -324,6 +325,183 @@ def test_edit_distance_memory_is_linear():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert 0 < distance < len(a)
+
+
+# ------------------------------------------------------------ banded passes
+
+
+@contextlib.contextmanager
+def banded_from(first_k):
+    """Every pair takes the banded path, however short its rows, from a first
+    band of half-width ``first_k``.  Yields the ``(width, distance)`` of every
+    banded pass."""
+    passes = []
+    banded = segmt.align._banded
+
+    def spy(a_keys, b_keys, lo, width, rows=None):
+        distance = banded(a_keys, b_keys, lo, width, rows)
+        passes.append((width, distance))
+        return distance
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmt.align, "BAND_MIN_COLUMNS", 0)
+        patch.setattr(segmt.align, "_first_band", lambda a_keys, b_keys: first_k)
+        patch.setattr(segmt.align, "_banded", spy)
+        yield passes
+
+
+def draw_near_copies(data, alphabet):
+    """``(a, b)``: b is a after up to 10 random edits, so the distance is small
+    next to the rows and a band narrower than half the row can hold it.  Runs
+    of inserts or deletes make |n - m| much larger than a first K of 0 to 3."""
+    size = data.draw(st.integers(0, 100), label="size")
+    a = data.draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size), label="a")
+    b = list(a)
+    edits = st.tuples(st.sampled_from("dis"), st.integers(0, 100), st.sampled_from(alphabet))
+    for kind, where, symbol in data.draw(st.lists(edits, max_size=10), label="edits"):
+        where = min(where, len(b))
+        if kind == "i":
+            b.insert(where, symbol)
+        elif where < len(b):
+            b[where : where + 1] = [] if kind == "d" else [symbol]
+    return (b, a) if data.draw(st.booleans(), label="swap") else (a, b)
+
+
+def draw_document(data, tokens, label):
+    """``tokens`` cut into non-empty segments at drawn positions."""
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(tokens) - 1)), max_size=8), label=label)
+    cuts = sorted(k for k in cuts if k < len(tokens))
+    bounds = [0, *cuts, len(tokens)] if tokens else []
+    return SegmentedDocument([tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+
+
+def settled(passes):
+    """True when one aligner call took at most two banded passes, and took a
+    second only after a first band that failed Ukkonen's check, which the
+    second passed.  Empties ``passes`` for the next call."""
+    ok = len(passes) < 2 or (
+        len(passes) == 2 and passes[0][1] > passes[0][0] and passes[1][1] <= passes[1][0]
+    )
+    passes.clear()
+    return ok
+
+
+@pytest.mark.parametrize("first_k", [0, 3])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_banded_passes_match_the_full_table_oracle(first_k, data):
+    alphabet = draw_alphabet(data)
+    a, b = draw_near_copies(data, alphabet)
+    a_doc, b_doc = draw_document(data, a, "a cuts"), draw_document(data, b, "b cuts")
+    stripped_distance = oracle_distance(normalize(a, STRIPPED), normalize(b, STRIPPED), PLAIN)
+    with banded_from(first_k) as passes:
+        assert levenshtein_align(a, b) == oracle_align(a, b) and settled(passes)
+        assert edit_distance(a, b) == oracle_distance(a, b) and settled(passes)
+        assert wer_counts(a, b) == (stripped_distance, len(normalize(a, STRIPPED)))
+        assert settled(passes)
+        assert project_positions(a_doc, b) == oracle_positions(a_doc, b) and settled(passes)
+        on_b, on_a = cross_project(a_doc, b_doc)
+        assert settled(passes)
+    assert on_b == oracle_projection(a_doc, b)
+    assert on_a == oracle_projection(b_doc, a)
+
+
+@pytest.mark.parametrize("first_k", [0, 3])
+def test_banded_passes_on_empty_sides_and_one_symbol(first_k):
+    for a, b in [([], []), ([], ["x"] * 9), (["x"] * 7, []), (["x"] * 12, ["x"] * 5),
+                 (["x"] * 30, ["x"] * 31), (["x", "y"] * 15, ["y", "x"] * 15)]:
+        with banded_from(first_k) as passes:
+            assert levenshtein_align(a, b) == oracle_align(a, b) and settled(passes)
+            assert edit_distance(a, b) == oracle_distance(a, b) and settled(passes)
+
+
+def test_a_failed_first_band_sizes_a_second_that_holds_the_script():
+    # 40 tokens, 3 substitutions spread out: the 1-column band of K = 0 finds a
+    # path of cost 3 > 1, and 3 sizes a band of K = 1 (3 columns).
+    a = list("abcabcabcabcabcabcabcabcabcabcabcabcabca")
+    b = list(a)
+    for k in (5, 20, 35):
+        b[k] = "z"
+    with banded_from(0) as passes:
+        assert levenshtein_align(a, b, PLAIN) == oracle_align(a, b, PLAIN)
+    assert passes == [(1, 3), (3, 3)]
+    # 5 net inserts: the first band is |n - m| + 1 = 6 columns wide and holds it.
+    b = a[:10] + list("zzzzz") + a[10:]
+    with banded_from(0) as passes:
+        assert levenshtein_align(a, b, PLAIN) == oracle_align(a, b, PLAIN)
+    assert passes == [(6, 5)]
+
+
+def skewed_copies(n, seed, clean, noise):
+    """A seeded n-token document over 300 types, and a copy whose first ``clean``
+    tokens are equal and whose rest has ``noise`` substitutions, deletions and
+    insertions per token, a third each."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(300)]
+    a = [vocab[int(k)] for k in rng.integers(0, len(vocab), size=n)]
+    b = a[:clean]
+    for tok in a[clean:]:
+        roll = rng.random() * 3
+        if roll >= noise:
+            b.append(vocab[int(rng.integers(len(vocab)))] if roll < 2 * noise else tok)
+        if rng.random() * 3 < noise:
+            b.append(vocab[int(rng.integers(len(vocab)))])
+    return a, b
+
+
+def test_no_pair_takes_more_than_two_forward_passes(monkeypatch):
+    """Real gate and first band: the passes each forward pass makes over the
+    whole pair (the prefix sample that sizes the first band is not one), and
+    scripts in both directions equal to those of the full rows."""
+    passes = []
+    for name in ("_myers", "_banded"):
+        loop = getattr(segmt.align, name)
+
+        def spy(a_keys, b_keys, *rest, loop=loop, name=name):
+            passes.append((name, len(a_keys), len(b_keys)))
+            return loop(a_keys, b_keys, *rest)
+
+        monkeypatch.setattr(segmt.align, name, spy)
+    cases = {
+        "even noise: one band": (noisy_copy(3000, seed=7001), ["_banded"]),
+        "clean prefix, 3% noise after it: a second band": (
+            skewed_copies(3000, 7002, clean=400, noise=0.03), ["_banded", "_banded"]),
+        "clean prefix, random after it: the full row second": (
+            skewed_copies(3000, 7003, clean=400, noise=3), ["_banded", "_myers"]),
+        "random: the full row": (skewed_copies(3000, 7004, clean=0, noise=3), ["_myers"]),
+    }
+    a, b = noisy_copy(2400, seed=7005)
+    cases["400 tokens more at the end: one band"] = ((a, b + a[:400]), ["_banded"])
+
+    def scripts(a, b):
+        forward = segmt.align._forward(a, b, ALIGNMENT_NORMALIZATION)
+        return segmt.align._backtrace(forward), segmt.align._backtrace(forward, b_to_a=True)
+
+    for label, ((a, b), expected) in cases.items():
+        for first, second in ((a, b), (b, a)):
+            passes.clear()
+            banded = scripts(first, second)
+            whole = [name for name, n, m in passes if (n, m) == (len(first), len(second))]
+            assert whole == expected, (label, passes)
+            assert len(passes) <= 3  # the two passes and the prefix sample
+            distance = edit_distance(first, second)
+            with monkeypatch.context() as full_rows:
+                full_rows.setattr(segmt.align, "BAND_MIN_COLUMNS", 10**9)
+                assert scripts(first, second) == banded, label
+                assert edit_distance(first, second) == distance, label
+
+
+def test_banded_rows_of_an_8k_pair_take_under_half_the_memory_of_full_rows():
+    # c11's generator at 8k tokens: the full rows peak at about 22 MiB.
+    a, b = noisy_copy(8000, seed=8008)
+    tracemalloc.start()
+    try:
+        forward = segmt.align._forward(a, b, ALIGNMENT_NORMALIZATION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
+    assert max(forward[5]) > 0  # the window moved: these are banded rows
 
 
 def test_wer_identical():
