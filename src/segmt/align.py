@@ -3,25 +3,26 @@
 Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
 exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
-backtrace reads its options from those bits (Hyyro 2004).  On long rows the
-pass computes only a diagonal band of the table, as in Hyyro's banded
-bit-vector (2003): a window of 2K+1+|m-n| columns that moves one column per
-row.  A prefix sample sizes the first band.  Ukkonen's bound (1985) tells
-whether the band's distance is exact; if not, that distance sizes a second
-band that cannot fail, so no pair takes more than two passes.  Rows shorter
-than ``BAND_MIN_COLUMNS``, and bands wider than half the row, run the full
-row.  Tokens are compared by their keys under a ``NormalizationPolicy``,
-read from that policy's memo in ``text.KEY_MEMOS``, so each distinct token
-is normalized once per process, not once per call.  The tie order is
-fixed: when costs tie, the backtrace takes match, then substitute, then
-delete, then insert, so identical inputs always produce identical edit
-scripts, banded or not.  All aligners share one forward pass and one backtrace; projection reads
-positions off the backtrace, with no ``EditOp`` objects.  The table of
-(b, a) is the transpose of that of (a, b), so ``variants``
+backtrace reads its options from those bits (Hyyro 2004).  The recurrence
+runs in one loop, ``_myers``, over a window of columns per row, as in
+Hyyro's banded bit-vector (2003).  On long rows the window is a diagonal
+band of 2K+1+|m-n| columns that moves one column per row; otherwise it is
+the full row, a window as wide as the row that never moves.  A prefix
+sample sizes the first band.  Ukkonen's bound (1985) tells whether the
+band's distance is exact; if not, that distance sizes a second band that
+cannot fail, so no pair takes more than two passes.  Rows shorter than
+``BAND_MIN_COLUMNS``, and bands wider than half the row, run the full row.
+Tokens are compared by their keys under a ``NormalizationPolicy``, read
+from that policy's memo in ``text.KEY_MEMOS``, so each distinct token is
+normalized once per process, not once per call.  The tie order is fixed:
+when costs tie, the backtrace takes match, then substitute, then delete,
+then insert, so identical inputs always produce identical edit scripts,
+banded or not.  All aligners share one forward pass and one backtrace;
+projection reads positions off the backtrace, with no ``EditOp`` objects.
+The table of (b, a) is the transpose of that of (a, b), so ``variants``
 (``cross_project``) runs one forward pass and two backtraces.  The one from
 b to a tries insert before delete: a's inserts are b's deletes, so it
-follows the tie order as aligning b to a would.  The recurrence runs in one
-loop, ``_myers`` on full rows or ``_banded`` on a band.  Full rows limit one
+follows the tie order as aligning b to a would.  Full rows limit one
 alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only the
 current row and reads the distance off the last one.
 Boundary projection transfers segment boundaries from one transcript onto
@@ -97,7 +98,7 @@ class Alignment:
 MAX_ALIGN_CELLS = 2_000_000_000
 
 #: Rows (tokens of ``b``) shorter than this run the full row, with no band and
-#: no sample.  Below it the band's per-row shift costs more than its narrower
+#: no sample.  Below it the band's per-row move costs more than its narrower
 #: ints save: sample and band took 1.12-1.16 times the full row's time at
 #: 1,536 columns, and 0.89-0.98 times at 2,048 (5-30% noise, 2 cores).
 BAND_MIN_COLUMNS = 2048
@@ -132,71 +133,46 @@ def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPo
     return list(map(key, a)), list(map(key, b))
 
 
-def _myers(a_keys: Sequence[str], b_keys: Sequence[str], rows=None) -> int:
-    """Levenshtein distance D[n][m] of the keys, by Myers' bit-parallel recurrence.
+def _myers(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
+    """D'[n][m] >= D[n][m] of the keys, by Myers' recurrence on ``width`` columns per row.
 
     Myers' recurrence (JACM 46(3), 1999) in its global form runs once per
-    token of ``a``: Python ints serve as m-bit vectors over the columns of
-    ``b``, and ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison key
-    k.  Row i of D gives
+    token of ``a``: Python ints serve as bit vectors over a window of
+    ``width`` columns of ``b``, and ``peq[k]`` has bit j-1 set where
+    ``b[j-1]`` has comparison key k.  Row i holds the columns c+1 ..
+    c+width, with c = clamp(i + lo - 1, 0, m - width), reads ``peq`` c bits
+    lower, and gives
 
-    * ``d0`` bit j-1: D[i][j] == D[i-1][j-1] (diagonal step costs nothing);
-    * ``hp`` / ``hn`` bit j: D[i][j] - D[i-1][j] is +1 / -1; bit 0 is the
-      left border, where the difference is always +1;
-    * ``vp`` / ``vn`` bit j-1: D[i][j] - D[i][j-1] is +1 / -1.
+    * ``d0`` bit j-1-c: D'[i][j] == D'[i-1][j-1] (diagonal step costs nothing);
+    * ``hp`` / ``hn`` bit j-c: D'[i][j] - D'[i-1][j] is +1 / -1; bit 0 is the
+      border column c, where the difference is always +1;
+    * ``vp`` / ``vn`` bit j-1-c: D'[i][j] - D'[i][j-1] is +1 / -1.
 
-    Each row costs a fixed number of big-int operations on m-bit values.
+    The full row is the window of ``width`` = m columns: c stays 0, the
+    window never moves, and D' = D.  A narrower window is a band, as in
+    Hyyro's banded bit-vector (2003): the diagonals j - i = ``lo`` .. ``lo +
+    width - 1`` and, through the middle rows, one column further right than
+    the row before.  On that move the row before loses its first delta,
+    which the border value takes, and gains the next column at +1 (``top``),
+    the cost through its left neighbour.  The border column c counts
+    D'[i][c] = D'[i-1][c] + 1 as the full row counts column 0.  So every D'
+    is the cost of some path, and every path inside the window counts: D' =
+    D on every cell that an optimal path inside the band reaches.  Each row
+    costs a fixed number of big-int operations on ``width``-bit values.
     With ``rows`` = ``(diag, down, left)``, three lists, row i's ``d0``,
     ``hp`` and ``vp`` are appended to them; otherwise only the current row
-    is kept.  D[n][0] = n, so the distance is n plus the last row's +1 steps
-    minus its -1 steps.
-    """
-    m = len(b_keys)
-    mask = (1 << m) - 1
-    peq: dict = {}
-    for j, t in enumerate(b_keys):
-        peq[t] = peq.get(t, 0) | 1 << j
-    if rows is not None:
-        keep_diag, keep_down, keep_left = (kept.append for kept in rows)
-    vp, vn = mask, 0  # row 0: D[0][j] = j
-    for t in a_keys:
-        x = peq.get(t, 0) | vn
-        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
-        hp = (vn | mask ^ (d0 | vp)) << 1 | 1
-        hn = (vp & d0) << 1
-        vp = (hn | (d0 | hp) ^ mask) & mask
-        vn = hp & d0
-        if rows is not None:
-            keep_diag(d0)
-            keep_down(hp)
-            keep_left(vp)
-    return len(a_keys) + vp.bit_count() - vn.bit_count()
-
-
-def _banded(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
-    """``_myers`` on a window of ``width`` columns per row; returns D'[n][m] >= D[n][m].
-
-    Row i holds the columns c+1 .. c+width, with c = clamp(i + lo - 1, 0,
-    m - width): the diagonals j - i = ``lo`` .. ``lo + width - 1`` and,
-    through the middle rows, one column further right than the row before.
-    On that move the row before loses its first delta, which the border
-    value takes, and gains the next column at +1 (``top``), the cost through
-    its left neighbour.  The border column c counts D'[i][c] = D'[i-1][c] + 1
-    as ``_myers`` counts column 0.  So every D' is the cost of some path, and
-    every path inside the window counts: D' = D on every cell that an
-    optimal path inside the band reaches.  With ``rows`` = ``(diag, down,
-    left, starts)``, row i's ``d0``, ``hp`` and ``vp`` are kept as in
-    ``_myers`` but c bits lower, and c itself in ``starts``.
+    is kept.  D'[n][c] = n plus what the border took, so the distance adds
+    the last row's +1 steps and subtracts its -1 steps.
     """
     m = len(b_keys)
     mask = (1 << width) - 1
-    top = 1 << (width - 1)
+    top = mask ^ mask >> 1  # bit width-1, or 0 when the row is empty
     last = m - width
     peq: dict = {}
     for j, t in enumerate(b_keys):
         peq[t] = peq.get(t, 0) | 1 << j
     if rows is not None:
-        keep_diag, keep_down, keep_left, keep_start = (kept.append for kept in rows)
+        keep_diag, keep_down, keep_left = (kept.append for kept in rows)
     vp, vn = mask, 0  # row 0: D[0][j] = j
     c = dropped = 0  # dropped: D'[i][c] - i, what the border value took
     for i, t in enumerate(a_keys, lo):  # i = row + lo - 1, c before the clamp
@@ -215,7 +191,6 @@ def _banded(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, r
             keep_diag(d0)
             keep_down(hp)
             keep_left(vp)
-            keep_start(c)
     return len(a_keys) + dropped + vp.bit_count() - vn.bit_count()
 
 
@@ -232,7 +207,7 @@ def _first_band(a_keys: Sequence[str], b_keys: Sequence[str]) -> int:
     sample = min(n, m, BAND_SAMPLE)
     if not sample:
         return 0
-    errors = _myers(a_keys[:sample], b_keys[:sample])
+    errors = _myers(a_keys[:sample], b_keys[:sample], 0, sample)
     return int(BAND_SLACK * (errors + 2 * errors**0.5 + 1) * min(n, m) / sample) // 2
 
 
@@ -246,34 +221,34 @@ def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
     every optimal path: the backtrace on its rows makes the same choices as
     on the full rows.  Otherwise D'[n][m] bounds the distance and sizes a
     second band that cannot fail.  A band wider than half the row, or a row
-    shorter than ``BAND_MIN_COLUMNS``, runs as the full row (``_myers``).
-    ``rows`` is ``(diag, down, left, starts)``; ``starts[i]`` is the column
-    before row i's bit 0.
+    shorter than ``BAND_MIN_COLUMNS``, runs as the full row: the window of
+    ``width`` = m columns, exact in one pass.  ``rows`` is ``(diag, down,
+    left, lo, last)``: the column before row i's bit 0 is clamp(i + lo - 1,
+    0, last), where ``last`` = m - ``width`` is 0 on the full row.
     """
     n, m = len(a_keys), len(b_keys)
     skew = abs(m - n)
     k = _first_band(a_keys, b_keys) if m >= BAND_MIN_COLUMNS else m  # K = m: the full row
-    for _ in range(2):
-        width = 2 * k + 1 + skew
-        if 2 * width > m:
-            break
-        rows = ([0], [0], [(1 << width) - 1], [0]) if keep else None
-        distance = _banded(a_keys, b_keys, min(0, m - n) - k, width, rows)
-        if distance <= width:
-            return distance, rows
+    for attempt in range(3):  # at most two bands, then the full row
+        lo, width = min(0, m - n) - k, 2 * k + 1 + skew
+        if 2 * width > m or attempt == 2:
+            width = m  # the full row: a window that never moves
+        rows = ([0], [0], [(1 << width) - 1]) if keep else None
+        distance = _myers(a_keys, b_keys, lo, width, rows)
+        if width == m or distance <= width:
+            return distance, (*rows, lo, m - width) if keep else None
         # The smallest K whose width holds D'[n][m] >= D[n][m]: it cannot fail.
         k = (distance - skew) // 2
-    rows = ([0], [0], [(1 << m) - 1]) if keep else None
-    distance = _myers(a_keys, b_keys, rows)
-    return distance, (*rows, [0] * (n + 1)) if keep else None
 
 
 def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
-    """``(a_keys, b_keys, diag, down, left, starts)``: per row i of D, with
-    c = ``starts[i]``, ``diag`` bit j-1-c is D[i][j] == D[i-1][j-1], ``down``
-    bit j-c is D[i][j] == D[i-1][j] + 1 and ``left`` bit j-1-c is
-    D[i][j] == D[i][j-1] + 1 (see ``_myers`` and ``_passes``).  Row 0 is
-    before any token of a: only inserts, every D[0][j] - D[0][j-1] = +1."""
+    """``(a_keys, b_keys, diag, down, left, lo, last)``: per row i of D, with
+    c = clamp(i + lo - 1, 0, last) the column before the row's window (0 on
+    the full row, where ``last`` is 0), ``diag`` bit j-1-c is D[i][j] ==
+    D[i-1][j-1], ``down`` bit j-c is D[i][j] == D[i-1][j] + 1 and ``left``
+    bit j-1-c is D[i][j] == D[i][j-1] + 1 (see ``_myers`` and ``_passes``).
+    Row 0 is before any token of a: only inserts, every D[0][j] - D[0][j-1]
+    = +1."""
     check_budget([(a, b)])
     a_keys, b_keys = _comparison_keys(a, b, policy)
     return (a_keys, b_keys, *_passes(a_keys, b_keys, keep=True)[1])
@@ -286,7 +261,7 @@ def _backtrace(forward, b_to_a: bool = False) -> List[str]:
     its insert test ``down``.  So with ``b_to_a`` the same rows yield the
     script from ``b`` to ``a`` (in a's kinds).
     """
-    a_keys, b_keys, diag, down, left, starts = forward
+    a_keys, b_keys, diag, down, left, lo, last = forward
     kinds: List[str] = []
     i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
@@ -294,7 +269,7 @@ def _backtrace(forward, b_to_a: bool = False) -> List[str]:
         if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
             kind = MATCH
         else:
-            k = j - starts[i]  # column j is bit k-1 of row i
+            k = j - min(max(i + lo - 1, 0), last)  # column j is bit k-1 of row i
             if i > 0 and j > 0 and not diag[i] >> (k - 1) & 1:
                 kind = SUBSTITUTE
             elif not b_to_a and i > 0 and down[i] >> k & 1:
@@ -318,9 +293,10 @@ def levenshtein_align(
 
     Deterministic: DP cost ties are broken in one fixed order (see the
     module docstring), so repeated calls yield identical scripts.  The forward
-    pass keeps three vectors of at most m bits per row of ``a`` (see
-    ``_forward``), from which the backtrace reads every step's options in O(1)
-    without materializing the cost table.
+    pass keeps three vectors per row of ``a``, each as wide as the row's
+    window: the full m columns, or a band of them on long rows (see
+    ``_forward``).  The backtrace reads every step's options from them in
+    O(1) without materializing the cost table.
     Raises ``InputError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
     """
     forward = _forward(a, b, policy)

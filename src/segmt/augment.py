@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
-from operator import getitem
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rng import PCG64Outputs, Stream, uniforms

@@ -233,7 +233,7 @@ def test_value_error_inside_the_library_exits_3(tmp_path, monkeypatch):
         assert code == 3
         assert "internal error: ValueError: backtrace bug" in err
         assert "test_exit_codes.py:" in err and " in broken)" in err  # the innermost frame
-    # A forward pass of four rows instead of five fails to unpack inside the real backtrace.
+    # A forward pass cut to its first four values fails to unpack inside the real backtrace.
     monkeypatch.setattr(segmt.align, "_backtrace", backtrace)
     monkeypatch.setattr(segmt.align, "_forward", lambda *args: forward(*args)[:4])
     for argv in commands:
@@ -300,7 +300,7 @@ def test_each_input_rejection_exits_2_with_its_message(tmp_path, monkeypatch):
     late = write(tmp_path / "late.txt", "a b\n\nc d\ne f\n")
     myers = segmt.align._myers
     calls = []
-    monkeypatch.setattr(segmt.align, "_myers", lambda *a: calls.append(a) or myers(*a))
+    monkeypatch.setattr(segmt.align, "_myers", lambda *a, **kw: calls.append(a) or myers(*a, **kw))
     for argv in (["project", late, late, "-o", out], ["variants", late, late, "-d", out],
                  ["score", late, late, "--resegment"], ["report", late, late]):
         code, err = run(argv)
