@@ -3,15 +3,26 @@
 Alignment uses unit costs (match 0; substitute/delete/insert 1) and is
 exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
-backtrace reads its options from those bits (Hyyro 2004).  The recurrence
-runs in one loop, ``_myers``, over a window of columns per row, as in
-Hyyro's banded bit-vector (2003).  On long rows the window is a diagonal
-band of 2K+1+|m-n| columns that moves one column per row; otherwise it is
-the full row, a window as wide as the row that never moves.  A prefix
-sample sizes the first band.  Ukkonen's bound (1985) tells whether the
-band's distance is exact; if not, that distance sizes a second band that
-cannot fail, so no pair takes more than two passes.  Rows shorter than
-``BAND_MIN_COLUMNS``, and bands wider than half the row, run the full row.
+backtrace reads its options from those bits (Hyyro 2004).  Every aligner
+takes a corpus of pairs, and a single pair is a corpus of one.
+Full rows run many pairs at once in one loop, ``_lanes``, with one lane of
+a Python int per pair (Hyyro, Fredriksson & Navarro 2005): a row of m
+columns takes m // 8 + 1 bytes, so at least one guard bit above each row
+stops carries and shifts from crossing into the next lane.  A lane group is
+a run of consecutive pairs that closes before its rows (tokens of its
+longest ``a``) times its bits would pass ``LANE_GROUP_BITS``, so results
+come out in input order, and a pair with a very long ``a`` cannot keep that
+many rows at the width of a whole group.  Each packed match row is one
+``int.from_bytes`` of the lanes' per-key bytes.  The backtrace reads a lane
+at its bit offset in the group's shared rows, and distance alone reads each
+lane at its own last row and keeps no rows.
+Rows of ``BAND_MIN_COLUMNS`` or more run instead on a diagonal band of
+2K+1+|m-n| columns that moves one column per row, in ``_myers``, as in
+Hyyro's banded bit-vector (2003).  A prefix sample sizes the first band.
+Ukkonen's bound (1985) tells whether the band's distance is exact; if not,
+that distance sizes a second band that cannot fail, so no pair takes more
+than two passes.  A band wider than half the row runs as full rows, in a
+lane group of its own.
 Tokens are compared by their keys under a ``NormalizationPolicy``, read
 from that policy's memo in ``text.KEY_MEMOS``, so each distinct token is
 normalized once per process, not once per call.  The tie order is fixed:
@@ -23,8 +34,8 @@ The table of (b, a) is the transpose of that of (a, b), so ``variants``
 (``cross_project``) runs one forward pass and two backtraces.  The one from
 b to a tries insert before delete: a's inserts are b's deletes, so it
 follows the tie order as aligning b to a would.  Full rows limit one
-alignment to ``MAX_ALIGN_CELLS`` cells; distance alone keeps only the
-current row and reads the distance off the last one.
+alignment to ``MAX_ALIGN_CELLS`` cells, checked for every pair of a corpus
+before its first row; distance alone keeps no rows and has no budget.
 Boundary projection transfers segment boundaries from one transcript onto
 another transcript's tokens by following the alignment of the token
 immediately before each boundary.
@@ -33,7 +44,8 @@ immediately before each boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .text import (
     InputError,
@@ -109,6 +121,11 @@ BAND_SAMPLE = 256
 #: Width of the first band over the distance that the sample estimates.
 BAND_SLACK = 1.25
 
+#: Cap of one lane group (``_aligned``): its rows, the tokens of its longest
+#: ``a``, times its bits, 8 * (m // 8 + 1) per pair.  Kept rows take three
+#: bits per unit, so a group at the cap keeps about 0.75 MiB of row bits.
+LANE_GROUP_BITS = 1 << 21
+
 
 def check_budget(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]]) -> None:
     """Raise ``InputError`` at the first ``(a, b)`` pair of token sequences over budget."""
@@ -133,40 +150,111 @@ def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPo
     return list(map(key, a)), list(map(key, b))
 
 
-def _myers(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
-    """D'[n][m] >= D[n][m] of the keys, by Myers' recurrence on ``width`` columns per row.
+def _lanes(pairs: Sequence[Tuple[Sequence[str], Sequence[str]]], keep: bool = False) -> list:
+    """Each pair's distance, or with ``keep`` its forward tuple, from one pass over all rows.
 
     Myers' recurrence (JACM 46(3), 1999) in its global form runs once per
-    token of ``a``: Python ints serve as bit vectors over a window of
-    ``width`` columns of ``b``, and ``peq[k]`` has bit j-1 set where
-    ``b[j-1]`` has comparison key k.  Row i holds the columns c+1 ..
-    c+width, with c = clamp(i + lo - 1, 0, m - width), reads ``peq`` c bits
-    lower, and gives
+    row for every pair of keys at once.  Pair d has a lane of 8 * (m_d // 8
+    + 1) bits at bit offset ``off`` of one Python int: its columns 1 .. m_d
+    are the bits off .. off + m_d - 1 of ``mask``, and at least one guard
+    bit, clear in ``mask``, sits above them.  A carry out of the row ends
+    in the guard bit, and so does a shift left, which every mask then
+    clears, so no lane sees another's bits.  The border column 0, where the
+    difference is always +1, is bit ``off`` of ``starts``.  Packed match row
+    i has lane d's bit j-1 set where ``b[j-1]`` has the key of ``a[i-1]``:
+    one ``int.from_bytes`` of each lane's bytes for that key, from a table
+    of per-key bytes that each lane builds once.  A lane past its last token
+    of ``a`` matches nothing; those rows are never read for it.  Row i gives
+
+    * ``d0`` bit off+j-1: D[i][j] == D[i-1][j-1] (diagonal step costs nothing);
+    * ``hp`` / ``hn`` bit off+j: D[i][j] - D[i-1][j] is +1 / -1;
+    * ``vp`` / ``vn`` bit off+j-1: D[i][j] - D[i][j-1] is +1 / -1.
+
+    Each lane's distance is its row count plus its +1 steps minus its -1
+    steps on its own last row.  With ``keep``, every row's ``d0``, ``hp``
+    and ``vp`` are kept for the whole group, and each pair's forward tuple
+    reads them at its offset (see ``_forward``).
+    """
+    nbytes = [len(b) // 8 + 1 for _, b in pairs]
+    offsets = [0, *accumulate(8 * size for size in nbytes)]
+    mask = starts = 0
+    ending: dict = {}  # row count -> pairs that end there
+    for d, (a, b) in enumerate(pairs):
+        mask |= ((1 << len(b)) - 1) << offsets[d]
+        starts |= 1 << offsets[d]
+        ending.setdefault(len(a), []).append(d)
+    rows = max(ending, default=0)
+    columns = []
+    for (a, b), size in zip(pairs, nbytes):
+        peq: dict = {}
+        for j, t in enumerate(b):
+            peq[t] = peq.get(t, 0) | 1 << j
+        table = {t: bits.to_bytes(size, "little") for t, bits in peq.items()}
+        zero = bytes(size)
+        column = list(map(table.get, a, repeat(zero)))
+        column += repeat(zero, rows - len(a))
+        columns.append(column)
+    matches = map(int.from_bytes, map(b"".join, zip(*columns)), repeat("little"))
+    if keep:
+        diag, down, left = [0], [0], [mask]  # row 0: D[0][j] = j
+        keep_diag, keep_down, keep_left = diag.append, down.append, left.append
+    distances = [0] * len(pairs)
+    vp, vn = mask, 0
+    done = 0
+    for end in sorted(ending):
+        for x in islice(matches, end - done):
+            x |= vn
+            d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+            hp = (vn | mask ^ (d0 | vp)) << 1 | starts
+            hn = (vp & d0) << 1
+            vp = (hn | (d0 | hp) ^ mask) & mask
+            vn = hp & d0
+            if keep:
+                keep_diag(d0)
+                keep_down(hp)
+                keep_left(vp)
+        done = end
+        for d in ending[end]:
+            lane = (1 << len(pairs[d][1])) - 1
+            off = offsets[d]
+            distances[d] = end + (vp >> off & lane).bit_count() - (vn >> off & lane).bit_count()
+    if not keep:
+        return distances
+    return [(a, b, diag, down, left, 0, 0, off) for (a, b), off in zip(pairs, offsets)]
+
+
+def _myers(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
+    """D'[n][m] >= D[n][m] of the keys, by Myers' recurrence on a band of ``width`` columns.
+
+    The recurrence of ``_lanes``, for one pair, on a window narrower than
+    the row: Python ints serve as bit vectors over ``width`` columns of
+    ``b``, and ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison
+    key k.  Row i holds the columns c+1 .. c+width, with c = clamp(i + lo -
+    1, 0, m - width), reads ``peq`` c bits lower, and gives
 
     * ``d0`` bit j-1-c: D'[i][j] == D'[i-1][j-1] (diagonal step costs nothing);
     * ``hp`` / ``hn`` bit j-c: D'[i][j] - D'[i-1][j] is +1 / -1; bit 0 is the
       border column c, where the difference is always +1;
     * ``vp`` / ``vn`` bit j-1-c: D'[i][j] - D'[i][j-1] is +1 / -1.
 
-    The full row is the window of ``width`` = m columns: c stays 0, the
-    window never moves, and D' = D.  A narrower window is a band, as in
-    Hyyro's banded bit-vector (2003): the diagonals j - i = ``lo`` .. ``lo +
-    width - 1`` and, through the middle rows, one column further right than
-    the row before.  On that move the row before loses its first delta,
-    which the border value takes, and gains the next column at +1 (``top``),
-    the cost through its left neighbour.  The border column c counts
-    D'[i][c] = D'[i-1][c] + 1 as the full row counts column 0.  So every D'
-    is the cost of some path, and every path inside the window counts: D' =
-    D on every cell that an optimal path inside the band reaches.  Each row
-    costs a fixed number of big-int operations on ``width``-bit values.
-    With ``rows`` = ``(diag, down, left)``, three lists, row i's ``d0``,
-    ``hp`` and ``vp`` are appended to them; otherwise only the current row
-    is kept.  D'[n][c] = n plus what the border took, so the distance adds
-    the last row's +1 steps and subtracts its -1 steps.
+    The window is a band, as in Hyyro's banded bit-vector (2003): the
+    diagonals j - i = ``lo`` .. ``lo + width - 1`` and, through the middle
+    rows, one column further right than the row before.  On that move the
+    row before loses its first delta, which the border value takes, and
+    gains the next column at +1 (``top``), the cost through its left
+    neighbour.  The border column c counts D'[i][c] = D'[i-1][c] + 1 as the
+    full row counts column 0.  So every D' is the cost of some path, and
+    every path inside the window counts: D' = D on every cell that an
+    optimal path inside the band reaches.  Each row costs a fixed number of
+    big-int operations on ``width``-bit values.  With ``rows`` = ``(diag,
+    down, left)``, three lists, row i's ``d0``, ``hp`` and ``vp`` are
+    appended to them; otherwise only the current row is kept.  D'[n][c] = n
+    plus what the border took, so the distance adds the last row's +1 steps
+    and subtracts its -1 steps.
     """
     m = len(b_keys)
     mask = (1 << width) - 1
-    top = mask ^ mask >> 1  # bit width-1, or 0 when the row is empty
+    top = mask ^ mask >> 1  # bit width-1
     last = m - width
     peq: dict = {}
     for j, t in enumerate(b_keys):
@@ -207,12 +295,12 @@ def _first_band(a_keys: Sequence[str], b_keys: Sequence[str]) -> int:
     sample = min(n, m, BAND_SAMPLE)
     if not sample:
         return 0
-    errors = _myers(a_keys[:sample], b_keys[:sample], 0, sample)
+    errors = _lanes([(a_keys[:sample], b_keys[:sample])])[0]
     return int(BAND_SLACK * (errors + 2 * errors**0.5 + 1) * min(n, m) / sample) // 2
 
 
 def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
-    """``(distance, rows)``: the exact distance, and with ``keep`` the rows of its pass.
+    """The band's exact distance, or with ``keep`` its forward tuple; None for full rows.
 
     Any path through a cell off the diagonals min(0, m-n) - K .. max(0, m-n)
     + K costs at least 2K + 2 + |m-n| (Ukkonen, Information and Control 64,
@@ -220,38 +308,70 @@ def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
     whose D'[n][m] is at most ``width`` has found the distance, and holds
     every optimal path: the backtrace on its rows makes the same choices as
     on the full rows.  Otherwise D'[n][m] bounds the distance and sizes a
-    second band that cannot fail.  A band wider than half the row, or a row
-    shorter than ``BAND_MIN_COLUMNS``, runs as the full row: the window of
-    ``width`` = m columns, exact in one pass.  ``rows`` is ``(diag, down,
-    left, lo, last)``: the column before row i's bit 0 is clamp(i + lo - 1,
-    0, last), where ``last`` = m - ``width`` is 0 on the full row.
+    second band that cannot fail.  A row shorter than ``BAND_MIN_COLUMNS``,
+    or a band wider than half the row, leaves the pair to the full rows of
+    ``_lanes``.  The forward tuple's ``lo`` and ``last`` = m - ``width``
+    place row i's window after column clamp(i + lo - 1, 0, last).
     """
     n, m = len(a_keys), len(b_keys)
+    if m < BAND_MIN_COLUMNS:
+        return None
     skew = abs(m - n)
-    k = _first_band(a_keys, b_keys) if m >= BAND_MIN_COLUMNS else m  # K = m: the full row
-    for attempt in range(3):  # at most two bands, then the full row
+    k = _first_band(a_keys, b_keys)
+    for _ in range(2):  # at most two bands
         lo, width = min(0, m - n) - k, 2 * k + 1 + skew
-        if 2 * width > m or attempt == 2:
-            width = m  # the full row: a window that never moves
+        if 2 * width > m:
+            return None
         rows = ([0], [0], [(1 << width) - 1]) if keep else None
         distance = _myers(a_keys, b_keys, lo, width, rows)
-        if width == m or distance <= width:
-            return distance, (*rows, lo, m - width) if keep else None
+        if distance <= width:
+            return (a_keys, b_keys, *rows, lo, m - width, 0) if keep else distance
         # The smallest K whose width holds D'[n][m] >= D[n][m]: it cannot fail.
         k = (distance - skew) // 2
+    return None
 
 
-def _forward(a: Sequence[str], b: Sequence[str], policy: NormalizationPolicy):
-    """``(a_keys, b_keys, diag, down, left, lo, last)``: per row i of D, with
-    c = clamp(i + lo - 1, 0, last) the column before the row's window (0 on
-    the full row, where ``last`` is 0), ``diag`` bit j-1-c is D[i][j] ==
-    D[i-1][j-1], ``down`` bit j-c is D[i][j] == D[i-1][j] + 1 and ``left``
-    bit j-1-c is D[i][j] == D[i][j-1] + 1 (see ``_myers`` and ``_passes``).
+def _aligned(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]], keep: bool = False) -> Iterator:
+    """Per pair of keys, in input order: its distance, or with ``keep`` its forward tuple.
+
+    A pair that ``_passes`` keeps on a band runs alone.  The others run on
+    full rows, in lane groups of consecutive pairs (``_lanes``): a group
+    closes before a pair that would take its rows times its bits past
+    ``LANE_GROUP_BITS``, and before a banded pair, so the output keeps the
+    input's order.
+    """
+    group: list = []
+    rows = bits = 0
+    for a_keys, b_keys in pairs:
+        banded = _passes(a_keys, b_keys, keep)
+        lane = 8 * (len(b_keys) // 8 + 1)
+        if group and (banded is not None or max(rows, len(a_keys)) * (bits + lane) > LANE_GROUP_BITS):
+            yield from _lanes(group, keep)
+            group, rows, bits = [], 0, 0
+        if banded is not None:
+            yield banded
+        else:
+            group.append((a_keys, b_keys))
+            rows, bits = max(rows, len(a_keys)), bits + lane
+    yield from _lanes(group, keep)
+
+
+def _forward(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]], policy: NormalizationPolicy):
+    """Forward tuples of ``(a, b)`` token pairs, one per pair in input order.
+
+    Every pair's budget is checked before the first row.  A forward tuple is
+    ``(a_keys, b_keys, diag, down, left, lo, last, off)``: per row i of D,
+    with c = clamp(i + lo - 1, 0, last) the column before the row's window
+    (0 on full rows, where ``last`` is 0) and ``off`` the pair's lane offset
+    (0 on a band), ``diag`` bit off+j-1-c is D[i][j] == D[i-1][j-1],
+    ``down`` bit off+j-c is D[i][j] == D[i-1][j] + 1 and ``left`` bit
+    off+j-1-c is D[i][j] == D[i][j-1] + 1 (see ``_lanes`` and ``_myers``).
     Row 0 is before any token of a: only inserts, every D[0][j] - D[0][j-1]
-    = +1."""
-    check_budget([(a, b)])
-    a_keys, b_keys = _comparison_keys(a, b, policy)
-    return (a_keys, b_keys, *_passes(a_keys, b_keys, keep=True)[1])
+    = +1.  The rows of a lane group are shared by its pairs.
+    """
+    pairs = list(pairs)
+    check_budget(pairs)
+    return _aligned((_comparison_keys(a, b, policy) for a, b in pairs), keep=True)
 
 
 def _backtrace(forward, b_to_a: bool = False) -> List[str]:
@@ -261,7 +381,7 @@ def _backtrace(forward, b_to_a: bool = False) -> List[str]:
     its insert test ``down``.  So with ``b_to_a`` the same rows yield the
     script from ``b`` to ``a`` (in a's kinds).
     """
-    a_keys, b_keys, diag, down, left, lo, last = forward
+    a_keys, b_keys, diag, down, left, lo, last, off = forward
     kinds: List[str] = []
     i, j = len(a_keys), len(b_keys)
     while i > 0 or j > 0:
@@ -269,7 +389,7 @@ def _backtrace(forward, b_to_a: bool = False) -> List[str]:
         if i > 0 and j > 0 and a_keys[i - 1] == b_keys[j - 1]:
             kind = MATCH
         else:
-            k = j - min(max(i + lo - 1, 0), last)  # column j is bit k-1 of row i
+            k = j - min(max(i + lo - 1, 0), last) + off  # column j is bit k-1 of row i
             if i > 0 and j > 0 and not diag[i] >> (k - 1) & 1:
                 kind = SUBSTITUTE
             elif not b_to_a and i > 0 and down[i] >> k & 1:
@@ -299,7 +419,7 @@ def levenshtein_align(
     O(1) without materializing the cost table.
     Raises ``InputError`` when ``len(a) * len(b)`` exceeds ``MAX_ALIGN_CELLS``.
     """
-    forward = _forward(a, b, policy)
+    (forward,) = _forward([(a, b)], policy)
     ops: List[EditOp] = []
     i, j = len(a), len(b)
     for kind in _backtrace(forward):
@@ -319,7 +439,17 @@ def edit_distance(
     ``_passes``) keeping only the current row, so memory is O(len(b)); the
     distance is read off the last row.
     """
-    return _passes(*_comparison_keys(a, b, policy))[0]
+    (distance,) = _aligned([_comparison_keys(a, b, policy)])
+    return distance
+
+
+def corpus_wer_counts(
+    pairs: Iterable[Tuple[Sequence[str], Sequence[str]]]
+) -> List[Tuple[int, int]]:
+    """``wer_counts`` of every ``(reference, hypothesis)`` pair, in one lane pass over the corpus."""
+    stripped = [(normalize(ref, STRIPPED), normalize(hyp, STRIPPED)) for ref, hyp in pairs]
+    # The stripped tokens are their own comparison keys.
+    return [(errors, len(ref)) for (ref, _), errors in zip(stripped, _aligned(stripped))]
 
 
 def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int, int]:
@@ -329,9 +459,7 @@ def wer_counts(reference: Sequence[str], hypothesis: Sequence[str]) -> Tuple[int
     distance between them and the normalized reference length.  Sums of
     these pairs over documents give corpus-level WER.
     """
-    ref = normalize(reference, STRIPPED)
-    hyp = normalize(hypothesis, STRIPPED)
-    return _passes(ref, hyp)[0], len(ref)  # the stripped tokens are their own comparison keys
+    return corpus_wer_counts([(reference, hypothesis)])[0]
 
 
 def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
@@ -363,6 +491,19 @@ def _positions(kinds: List[str], source_only: str, boundaries: Sequence[int]) ->
     return [nearest[k] for k in boundaries]
 
 
+def corpus_positions(
+    pairs: Iterable[Tuple[SegmentedDocument, Sequence[str]]],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+) -> List[List[int]]:
+    """``project_positions`` of every ``(source_doc, target_tokens)`` pair, in one lane pass."""
+    flat = [(flatten(source_doc), target) for source_doc, target in pairs]
+    forwards = _forward(((tokens, target) for (tokens, _), target in flat), policy)
+    return [
+        _positions(_backtrace(forward), DELETE, boundaries)
+        for ((_, boundaries), _), forward in zip(flat, forwards)
+    ]
+
+
 def project_positions(
     source_doc: SegmentedDocument,
     target_tokens: Sequence[str],
@@ -376,9 +517,7 @@ def project_positions(
     was deleted, it attaches to the nearest preceding source token that has
     a target counterpart.  Entries are non-decreasing.
     """
-    src_tokens, boundaries = flatten(source_doc)
-    forward = _forward(src_tokens, target_tokens, policy)
-    return _positions(_backtrace(forward), DELETE, boundaries)
+    return corpus_positions([(source_doc, target_tokens)], policy)[0]
 
 
 def project_boundaries(
@@ -401,6 +540,24 @@ def project_boundaries(
     )
 
 
+def corpus_cross_project(
+    pairs: Iterable[Tuple[SegmentedDocument, SegmentedDocument]],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+) -> List[Tuple[SegmentedDocument, SegmentedDocument]]:
+    """``cross_project`` of every ``(a_doc, b_doc)`` pair, in one lane pass over the corpus."""
+    flat = [(a_doc, flatten(a_doc), b_doc, flatten(b_doc)) for a_doc, b_doc in pairs]
+    forwards = _forward(((a_tokens, b_tokens) for _, (a_tokens, _), _, (b_tokens, _) in flat), policy)
+    out = []
+    for (a_doc, (a_tokens, a_bounds), b_doc, (b_tokens, b_bounds)), forward in zip(flat, forwards):
+        on_b = _positions(_backtrace(forward), DELETE, a_bounds)
+        on_a = _positions(_backtrace(forward, b_to_a=True), INSERT, b_bounds)
+        out.append((
+            rebuild(b_tokens, (k for k in on_b if k >= 0), doc_id=a_doc.doc_id),
+            rebuild(a_tokens, (k for k in on_a if k >= 0), doc_id=b_doc.doc_id),
+        ))
+    return out
+
+
 def cross_project(
     a_doc: SegmentedDocument,
     b_doc: SegmentedDocument,
@@ -411,12 +568,4 @@ def cross_project(
     The (a, b) rows are backtraced twice: once from a to b, and once with
     ``b_to_a``, which follows the script from b to a.
     """
-    a_tokens, a_bounds = flatten(a_doc)
-    b_tokens, b_bounds = flatten(b_doc)
-    forward = _forward(a_tokens, b_tokens, policy)
-    on_b = _positions(_backtrace(forward), DELETE, a_bounds)
-    on_a = _positions(_backtrace(forward, b_to_a=True), INSERT, b_bounds)
-    return (
-        rebuild(b_tokens, (k for k in on_b if k >= 0), doc_id=a_doc.doc_id),
-        rebuild(a_tokens, (k for k in on_a if k >= 0), doc_id=b_doc.doc_id),
-    )
+    return corpus_cross_project([(a_doc, b_doc)], policy)[0]

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .align import check_budget, project_boundaries, wer_counts
+from .align import corpus_positions, corpus_wer_counts
 from .augment import MixtureSpec, augment_blocks, mixture_draws
 from .bleu import corpus_bleu
 from .config import ENV_CONFIG_PATH, PipelineConfig, load_config
@@ -32,7 +32,7 @@ from .evaluate import (
     DEFAULT_BUCKET_BOUNDS,
     _validate_bounds,
     bucket_report,
-    make_error_variants,
+    corpus_error_variants,
     score_documents,
 )
 from .formats import (
@@ -55,6 +55,7 @@ from .text import (
     SegmentedDocument,
     normalize_document,
     paired_documents,
+    rebuild,
 )
 
 EXIT_OK = 0
@@ -190,19 +191,19 @@ def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
 
 def cmd_project(args, cfg: PipelineConfig) -> int:
     pairs = paired_documents(read_documents(args.source), read_documents(args.target))
-    check_budget((src.tokens(), tgt.tokens()) for src, tgt in pairs)
-    out = []
-    for src, tgt in pairs:
-        projected = project_boundaries(src, tgt.tokens(), cfg.alignment)
-        out.append(SegmentedDocument(projected.segments, doc_id=tgt.doc_id))
+    jobs = [(src, tgt.tokens()) for src, tgt in pairs]
+    positions = corpus_positions(jobs, cfg.alignment)
+    out = [
+        rebuild(tokens, (k for k in ends if k >= 0), doc_id=tgt.doc_id)
+        for (_, tokens), (_, tgt), ends in zip(jobs, pairs, positions)
+    ]
     write_documents(_path(args, cfg, "output"), out)
     return EXIT_OK
 
 
 def cmd_variants(args, cfg: PipelineConfig) -> int:
     pairs = paired_documents(read_documents(args.gold), read_documents(args.system))
-    check_budget((gold.tokens(), system.tokens()) for gold, system in pairs)
-    variants = [make_error_variants(gold, system, cfg.alignment) for gold, system in pairs]
+    variants = corpus_error_variants(pairs, cfg.alignment)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_documents(out_dir / "gold.txt", [v.gold for v in variants])
@@ -311,7 +312,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
 
 def cmd_wer(args, cfg: PipelineConfig) -> int:
     pairs = paired_documents(read_documents(args.reference), read_documents(args.hypothesis))
-    counts = [wer_counts(ref.tokens(), hyp.tokens()) for ref, hyp in pairs]
+    counts = corpus_wer_counts((ref.tokens(), hyp.tokens()) for ref, hyp in pairs)
     errors = sum(e for e, _ in counts)
     ref_len = sum(n for _, n in counts)
     if ref_len == 0:

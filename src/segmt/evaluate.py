@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .align import ALIGNMENT_NORMALIZATION, check_budget, cross_project, project_positions
+from .align import ALIGNMENT_NORMALIZATION, corpus_cross_project, corpus_positions, project_positions
 from .bleu import BleuConfig, BleuReport, DEFAULT_CONFIG as DEFAULT_BLEU, SENTENCE_CONFIG, corpus_bleu, pairwise_bleu
 from .text import NormalizationPolicy, SegmentedDocument, _cut, paired_documents
 
@@ -62,15 +62,28 @@ def make_error_variants(
     policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
 ) -> ErrorVariantSet:
     """Isolate token errors from boundary errors by cross-projection."""
-    if not gold.segments or not system.segments:
-        raise ValueError("error variants need non-empty gold and system documents")
-    recognition, segmentation = cross_project(gold, system, policy)
-    return ErrorVariantSet(
-        gold=gold,
-        system=system,
-        recognition_errors=SegmentedDocument(recognition.segments, doc_id=system.doc_id),
-        segmentation_errors=SegmentedDocument(segmentation.segments, doc_id=gold.doc_id),
-    )
+    return corpus_error_variants([(gold, system)], policy)[0]
+
+
+def corpus_error_variants(
+    pairs: Sequence[Tuple[SegmentedDocument, SegmentedDocument]],
+    policy: NormalizationPolicy = ALIGNMENT_NORMALIZATION,
+) -> List[ErrorVariantSet]:
+    """``make_error_variants`` of every ``(gold, system)`` pair, in one lane pass over the corpus."""
+    for gold, system in pairs:
+        if not gold.segments or not system.segments:
+            raise ValueError("error variants need non-empty gold and system documents")
+    return [
+        ErrorVariantSet(
+            gold=gold,
+            system=system,
+            recognition_errors=SegmentedDocument(recognition.segments, doc_id=system.doc_id),
+            segmentation_errors=SegmentedDocument(segmentation.segments, doc_id=gold.doc_id),
+        )
+        for (gold, system), (recognition, segmentation) in zip(
+            pairs, corpus_cross_project(pairs, policy)
+        )
+    ]
 
 
 def resegment_hypothesis(
@@ -86,7 +99,11 @@ def resegment_hypothesis(
     the hypothesis tokens.  The final piece always extends to the end.
     """
     hyp_tokens = hyp_doc.tokens()
-    ends = project_positions(ref_doc, hyp_tokens, policy)
+    return _pieces(hyp_tokens, project_positions(ref_doc, hyp_tokens, policy))
+
+
+def _pieces(hyp_tokens: List[str], ends: List[int]) -> List[List[str]]:
+    """``hyp_tokens`` cut at projected ``ends``, the last piece extended to the end."""
     if ends:
         ends[-1] = len(hyp_tokens) - 1
     return _cut(hyp_tokens, ends)
@@ -110,10 +127,9 @@ def _paired_segments(
 ) -> Tuple[List[List[str]], List[List[str]]]:
     hyp_segments: List[List[str]] = []
     ref_segments: List[List[str]] = []
-    pairs = paired_documents(hyp_docs, ref_docs)
-    check_budget((ref_doc.tokens(), hyp_doc.tokens()) for hyp_doc, ref_doc in pairs)
-    for hyp_doc, ref_doc in pairs:
-        hyp_segments.extend(resegment_hypothesis(hyp_doc, ref_doc, policy))
+    pairs = [(ref_doc, hyp_doc.tokens()) for hyp_doc, ref_doc in paired_documents(hyp_docs, ref_docs)]
+    for (ref_doc, hyp_tokens), ends in zip(pairs, corpus_positions(pairs, policy)):
+        hyp_segments.extend(_pieces(hyp_tokens, ends))
         ref_segments.extend(ref_doc.segments)
     return hyp_segments, ref_segments
 

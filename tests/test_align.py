@@ -22,6 +22,9 @@ from segmt.align import (
     MATCH,
     SUBSTITUTE,
     Alignment,
+    corpus_cross_project,
+    corpus_positions,
+    corpus_wer_counts,
     cross_project,
     edit_distance,
     levenshtein_align,
@@ -452,31 +455,36 @@ def skewed_copies(n, seed, clean, noise):
 
 def test_no_pair_takes_more_than_two_forward_passes(monkeypatch):
     """Real gate and first band: the passes each forward pass makes over the
-    whole pair (the prefix sample that sizes the first band is not one), and
-    scripts in both directions equal to those of the full rows."""
+    whole pair, on the band loop (``_myers``) or the lane pass (``_lanes``;
+    the prefix sample that sizes the first band is not one), and scripts in
+    both directions equal to those of the full rows."""
     passes = []
-    myers = segmt.align._myers
+    myers, lanes = segmt.align._myers, segmt.align._lanes
 
-    def spy(a_keys, b_keys, lo, width, rows=None):
-        # A band is narrower than the row; the full row is as wide as the row.
-        name = "_banded" if width < len(b_keys) else "_myers"
-        passes.append((name, len(a_keys), len(b_keys)))
+    def band_spy(a_keys, b_keys, lo, width, rows=None):
+        assert width < len(b_keys)  # the band loop never runs a full row
+        passes.append(("band", len(a_keys), len(b_keys)))
         return myers(a_keys, b_keys, lo, width, rows)
 
-    monkeypatch.setattr(segmt.align, "_myers", spy)
+    def lane_spy(pairs, keep=False):
+        passes.extend(("lanes", len(a_keys), len(b_keys)) for a_keys, b_keys in pairs)
+        return lanes(pairs, keep)
+
+    monkeypatch.setattr(segmt.align, "_myers", band_spy)
+    monkeypatch.setattr(segmt.align, "_lanes", lane_spy)
     cases = {
-        "even noise: one band": (noisy_copy(3000, seed=7001), ["_banded"]),
+        "even noise: one band": (noisy_copy(3000, seed=7001), ["band"]),
         "clean prefix, 3% noise after it: a second band": (
-            skewed_copies(3000, 7002, clean=400, noise=0.03), ["_banded", "_banded"]),
+            skewed_copies(3000, 7002, clean=400, noise=0.03), ["band", "band"]),
         "clean prefix, random after it: the full row second": (
-            skewed_copies(3000, 7003, clean=400, noise=3), ["_banded", "_myers"]),
-        "random: the full row": (skewed_copies(3000, 7004, clean=0, noise=3), ["_myers"]),
+            skewed_copies(3000, 7003, clean=400, noise=3), ["band", "lanes"]),
+        "random: the full row": (skewed_copies(3000, 7004, clean=0, noise=3), ["lanes"]),
     }
     a, b = noisy_copy(2400, seed=7005)
-    cases["400 tokens more at the end: one band"] = ((a, b + a[:400]), ["_banded"])
+    cases["400 tokens more at the end: one band"] = ((a, b + a[:400]), ["band"])
 
     def scripts(a, b):
-        forward = segmt.align._forward(a, b, ALIGNMENT_NORMALIZATION)
+        (forward,) = segmt.align._forward([(a, b)], ALIGNMENT_NORMALIZATION)
         return segmt.align._backtrace(forward), segmt.align._backtrace(forward, b_to_a=True)
 
     for label, ((a, b), expected) in cases.items():
@@ -498,12 +506,184 @@ def test_banded_rows_of_an_8k_pair_take_under_half_the_memory_of_full_rows():
     a, b = noisy_copy(8000, seed=8008)
     tracemalloc.start()
     try:
-        forward = segmt.align._forward(a, b, ALIGNMENT_NORMALIZATION)
+        (forward,) = segmt.align._forward([(a, b)], ALIGNMENT_NORMALIZATION)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 11 * 2**20
-    assert forward[-1] > 0  # last = m - width: the window moves, so these are banded rows
+    *_, last, off = forward
+    assert last > 0  # last = m - width: the window moves, so these are banded rows
+
+
+def test_a_band_one_over_its_width_is_not_accepted():
+    """Ukkonen's bound is strict: a band whose D'[n][m] is W + 1 is redone.
+
+    "bbabbcba" to "abbbac" (n = 8, m = 6): the K = 0 band holds the
+    diagonals -2 .. 0, W = 3 columns.  Every optimal path (cost 4) leaves it
+    by one diagonal, and the cheapest path inside it costs 5, but the
+    band's border column still gives D' = 4 = W + 1.  Its rows do not hold
+    the tie order's path, so accepting it would backtrace off the band.
+    "abab" to "baaba": W = 2 and D' = 3 = D, and the band holds a path of
+    cost 3 (substitute, substitute, match, match, insert), but not the tie
+    order's (insert, insert, match, match, match, delete).  In both, the
+    second band (K = 1) would be wider than half the row, so the pair runs
+    on full rows.
+    """
+    for a, b, first_pass in (("bbabbcba", "abbbac", (3, 4)), ("abab", "baaba", (2, 3))):
+        a, b = list(a), list(b)
+        a_doc, b_doc = SegmentedDocument([a[:3], a[3:]]), SegmentedDocument([b[:2], b[2:]])
+        with banded_from(0) as passes:
+            assert segmt.align._passes(a, b, keep=True) is None
+            assert passes == [first_pass]
+            passes.clear()
+            assert levenshtein_align(a, b, PLAIN) == oracle_align(a, b, PLAIN)
+            assert edit_distance(a, b, PLAIN) == oracle_distance(a, b, PLAIN) == first_pass[1]
+            on_b, on_a = cross_project(a_doc, b_doc, PLAIN)
+            assert passes == [first_pass] * 3
+        assert on_b == oracle_projection(a_doc, b, PLAIN)
+        assert on_a == oracle_projection(b_doc, a, PLAIN)
+
+
+# ------------------------------------------------------------ lane pass
+
+#: Rows at a lane's byte edges: with m = 7 or 15 the one guard bit is the
+#: top bit of the last byte; with m = 8 or 16 it is a byte of its own.
+LANE_EDGES = [0, 7, 8, 9, 15, 16, 17]
+
+
+def draw_lane_batch(data):
+    """1-12 ``(a, b)`` pairs over 1-3 symbols, full of ties: sides empty or at
+    a lane's byte edges among them, and maybe one ``a`` of 40-60 tokens, so
+    that one lane runs many rows past every other lane's last."""
+    alphabet = ["a", "b", "c"][: data.draw(st.integers(1, 3), label="alphabet size")]
+
+    def tokens(size):
+        return st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)
+
+    sizes = st.one_of(st.sampled_from(LANE_EDGES), st.integers(0, 20))
+    pairs = [
+        (data.draw(sizes.flatmap(tokens), label="a"), data.draw(sizes.flatmap(tokens), label="b"))
+        for _ in range(data.draw(st.integers(1, 12), label="pairs"))
+    ]
+    tall = data.draw(st.none() | st.integers(0, len(pairs) - 1), label="tall lane")
+    if tall is not None:
+        pairs[tall] = (data.draw(st.integers(40, 60).flatmap(tokens), label="tall a"), pairs[tall][1])
+    return pairs
+
+
+def oracle_kinds(a, b, b_to_a=False):
+    """The oracle's script kinds, last step first as ``_backtrace`` gives
+    them; with ``b_to_a``, the script from b to a in a's kinds."""
+    if not b_to_a:
+        return [op.kind for op in reversed(oracle_align(a, b, PLAIN).ops)]
+    swap = {DELETE: INSERT, INSERT: DELETE}
+    return [swap.get(op.kind, op.kind) for op in reversed(oracle_align(b, a, PLAIN).ops)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lane_pass_equals_a_batch_of_one_and_the_oracle(data):
+    pairs = draw_lane_batch(data)
+    groups = []
+    lanes = segmt.align._lanes
+
+    def spy(group, keep=False):
+        groups.append(len(group))
+        return lanes(group, keep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmt.align, "_lanes", spy)
+        forwards = list(segmt.align._forward(pairs, PLAIN))
+        distances = list(segmt.align._aligned(pairs))  # the tokens are their own PLAIN keys
+    assert groups == [len(pairs), len(pairs)]  # every pair in one group, twice
+    for (a, b), forward, distance in zip(pairs, forwards, distances, strict=True):
+        (alone,) = segmt.align._forward([(a, b)], PLAIN)
+        script = segmt.align._backtrace(forward)
+        assert script == segmt.align._backtrace(alone) == oracle_kinds(a, b)
+        script = segmt.align._backtrace(forward, b_to_a=True)
+        assert script == segmt.align._backtrace(alone, b_to_a=True) == oracle_kinds(a, b, True)
+        assert distance == edit_distance(a, b, PLAIN) == oracle_distance(a, b, PLAIN)
+    a_docs = [draw_document(data, a, "a cuts") for a, _ in pairs]
+    b_docs = [draw_document(data, b, "b cuts") for _, b in pairs]
+    targets = [b for _, b in pairs]
+    assert corpus_positions(zip(a_docs, targets), PLAIN) == [
+        oracle_positions(a_doc, b, PLAIN) for a_doc, b in zip(a_docs, targets)
+    ]
+    assert corpus_cross_project(zip(a_docs, b_docs), PLAIN) == [
+        (oracle_projection(a_doc, b_doc.tokens(), PLAIN), oracle_projection(b_doc, a_doc.tokens(), PLAIN))
+        for a_doc, b_doc in zip(a_docs, b_docs)
+    ]
+    assert corpus_wer_counts(pairs) == [wer_counts(a, b) for a, b in pairs]
+
+
+def test_a_corpus_of_band_and_lane_pairs_keeps_its_order():
+    band = noisy_copy(2400, seed=7006)  # at least BAND_MIN_COLUMNS: one band
+    wide = skewed_copies(2400, 7007, clean=0, noise=3)  # band too wide: full rows
+    short = [noisy_copy(n, seed) for n, seed in ((300, 1), (0, 2), (150, 3), (450, 4), (9, 5))]
+    pairs = [short[0], short[1], band, short[2], wide, short[3], (short[4][0], []), ([], band[1])]
+    log = []
+    myers, lanes = segmt.align._myers, segmt.align._lanes
+
+    def band_spy(a_keys, b_keys, lo, width, rows=None):
+        log.append(("band", len(a_keys)))
+        return myers(a_keys, b_keys, lo, width, rows)
+
+    def lane_spy(group, keep=False):
+        sizes = [len(a_keys) for a_keys, _ in group]
+        if sizes != [segmt.align.BAND_SAMPLE]:  # not the sample that sizes a first band
+            log.append(("lanes", sizes))
+        return lanes(group, keep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmt.align, "_myers", band_spy)
+        patch.setattr(segmt.align, "_lanes", lane_spy)
+        forwards = list(segmt.align._forward(pairs, ALIGNMENT_NORMALIZATION))
+    n = [len(a) for a, _ in pairs]
+    # A band closes the group before it.  The wide pair's sample sizes a band
+    # wider than half its row, so it runs on full rows at once, and the cap
+    # closes the groups on both sides of its 2,400 rows.
+    assert log == [("band", n[2]), ("lanes", n[:2]), ("lanes", n[3:4]), ("lanes", n[4:5]),
+                   ("lanes", n[5:8])]
+    for (a, b), forward in zip(pairs, forwards, strict=True):
+        assert forward[:2] == segmt.align._comparison_keys(a, b, ALIGNMENT_NORMALIZATION)
+        (alone,) = segmt.align._forward([(a, b)], ALIGNMENT_NORMALIZATION)
+        assert segmt.align._backtrace(forward) == segmt.align._backtrace(alone)
+        assert segmt.align._backtrace(forward, True) == segmt.align._backtrace(alone, True)
+    docs = [SegmentedDocument([a[:5], a[5:]] if len(a) > 5 else [a] if a else []) for a, _ in pairs]
+    assert corpus_positions(zip(docs, (b for _, b in pairs))) == [
+        project_positions(doc, b) for doc, (_, b) in zip(docs, pairs)
+    ]
+    assert corpus_wer_counts(pairs) == [wer_counts(a, b) for a, b in pairs]
+
+
+def test_a_long_a_lane_gets_a_group_of_its_own():
+    """One 100k x 40-token pair among 200 pairs of 300 x 300 tokens.
+
+    A group at the cap keeps 3 x ``LANE_GROUP_BITS`` bits of rows: 0.75
+    MiB.  The long pair alone keeps 100k rows of three ints of one 48-bit
+    lane, at most 40 bytes each with its list slot: 11.4 MiB.  Had it joined
+    even one 300-token neighbour, its 100k rows would be 352 bits wide: the
+    corpus then peaks at 20.9 MiB; in a group with all 200, about 2.3 GB.  So the corpus
+    must peak under the long pair's own rows plus four groups at the cap.
+    """
+    rng = np.random.default_rng(100_040)
+    vocab = np.array([f"w{i}" for i in range(300)])
+
+    def tokens(n):
+        return vocab[rng.integers(0, len(vocab), size=n)].tolist()
+
+    pairs = [(tokens(300), tokens(300)) for _ in range(200)]
+    pairs.insert(100, (tokens(100_000), tokens(40)))
+    docs = [(SegmentedDocument([a]), b) for a, b in pairs]
+    cap_bytes = 3 * segmt.align.LANE_GROUP_BITS // 8
+    tracemalloc.start()
+    try:
+        positions = corpus_positions(docs, PLAIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000 * 3 * 40 + 4 * cap_bytes
+    assert len(positions) == 201 and positions[100] == project_positions(*docs[100], PLAIN)
 
 
 def test_wer_identical():

@@ -235,7 +235,7 @@ def test_value_error_inside_the_library_exits_3(tmp_path, monkeypatch):
         assert "test_exit_codes.py:" in err and " in broken)" in err  # the innermost frame
     # A forward pass cut to its first four values fails to unpack inside the real backtrace.
     monkeypatch.setattr(segmt.align, "_backtrace", backtrace)
-    monkeypatch.setattr(segmt.align, "_forward", lambda *args: forward(*args)[:4])
+    monkeypatch.setattr(segmt.align, "_forward", lambda *args: (f[:4] for f in forward(*args)))
     for argv in commands:
         code, err = run(argv)
         assert code == 3
@@ -296,17 +296,26 @@ def test_each_input_rejection_exits_2_with_its_message(tmp_path, monkeypatch):
         code, err = run(argv)
         assert code == 2 and "5 x 5 tokens exceeds the budget" in err, (argv, err)
     # Only the second pair (4 x 4) is over budget: the whole corpus is checked
-    # before the first alignment runs, so none does.
+    # before the first alignment runs, so none does, on a band (``_myers``) or
+    # on full rows (``_lanes``).
     late = write(tmp_path / "late.txt", "a b\n\nc d\ne f\n")
-    myers = segmt.align._myers
+    myers, lanes = segmt.align._myers, segmt.align._lanes
     calls = []
     monkeypatch.setattr(segmt.align, "_myers", lambda *a, **kw: calls.append(a) or myers(*a, **kw))
-    for argv in (["project", late, late, "-o", out], ["variants", late, late, "-d", out],
-                 ["score", late, late, "--resegment"], ["report", late, late]):
+    monkeypatch.setattr(segmt.align, "_lanes", lambda *a, **kw: calls.append(a) or lanes(*a, **kw))
+    aligning = (["project", late, late, "-o", out],
+                ["variants", late, late, "-d", str(tmp_path / "variants")],
+                ["score", late, late, "--resegment"], ["report", late, late])
+    for argv in aligning:
         code, err = run(argv)
         assert code == 2 and "4 x 4 tokens exceeds the budget" in err, (argv, err)
         assert calls == [], argv
     assert run(["wer", late, late]) == (0, "")  # wer keeps no budget
+    # Within the budget, every one of those commands reaches a spied pass.
+    monkeypatch.setattr(segmt.align, "MAX_ALIGN_CELLS", 16)
+    for argv in aligning:
+        calls.clear()
+        assert run(argv)[0] == 0 and calls, argv
 
 
 def test_nan_pause_threshold_exits_1_or_2_from_a_config(tmp_path):
