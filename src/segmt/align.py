@@ -5,30 +5,30 @@ exact.  The cost table is never materialized: a bit-parallel forward pass
 (Myers 1999) keeps each row's cost differences as bit vectors, and the
 backtrace reads its options from those bits (Hyyro 2004).  Every aligner
 takes a corpus of pairs, and a single pair is a corpus of one.
-Full rows run many pairs at once in one loop, ``_lanes``, with one lane of
-a Python int per pair (Hyyro, Fredriksson & Navarro 2005): a row of m
-columns takes m // 8 + 1 bytes, so at least one guard bit above each row
-stops carries and shifts from crossing into the next lane.  A lane group is
-a run of consecutive pairs that closes before its rows (tokens of its
-longest ``a``) times its bits would pass ``LANE_GROUP_BITS``, so results
-come out in input order, and a pair with a very long ``a`` cannot keep that
-many rows at the width of a whole group.  Each packed match row is one
-``int.from_bytes`` of the lanes' per-key bytes.  The backtrace reads a lane
-at its bit offset in the group's shared rows, and distance alone reads each
-lane at its own last row and keeps no rows.
-Rows of ``BAND_MIN_COLUMNS`` or more run instead on a diagonal band of
-2K+1+|m-n| columns that moves one column per row, in ``_myers``, as in
-Hyyro's banded bit-vector (2003).  A prefix sample sizes the first band.
-Ukkonen's bound (1985) tells whether the band's distance is exact; if not,
-that distance sizes a second band that cannot fail, so no pair takes more
-than two passes.  A band wider than half the row runs as full rows, in a
-lane group of its own.
+Myers' recurrence runs in one loop, ``_recurrence``, over lanes of one
+Python int (Hyyro, Fredriksson & Navarro 2005).  Full rows run many pairs
+at once, in ``_lanes``: a row of m columns takes m // 8 + 1 bytes, so at
+least one guard bit above each row stops carries and shifts from crossing
+into the next lane.  A lane group is a run of consecutive pairs that closes
+before its rows (tokens of its longest ``a``) times its bits would pass
+``LANE_GROUP_BITS``, so results come out in input order, and a pair with a
+very long ``a`` cannot keep that many rows at the width of a whole group.
+Each packed match row is one ``int.from_bytes`` of the lanes' per-key
+bytes.  The backtrace reads a lane at its bit offset in the group's shared
+rows, and distance alone reads each lane at its own last row and keeps no
+rows.  Rows of ``BAND_MIN_COLUMNS`` or more run instead on a diagonal band
+of 2K+1+|m-n| columns, in ``_band``: a lane group of one whose window moves
+one column per row, as in Hyyro's banded bit-vector (2003).  A prefix
+sample sizes the first band.  Ukkonen's bound (1985) tells whether the
+band's distance is exact; if not, that distance sizes a second band that
+cannot fail, so no pair takes more than two passes.  A band wider than
+half the row runs as full rows, in a lane group of its own.
 Tokens are compared by their keys under a ``NormalizationPolicy``, read
 from that policy's memo in ``text.KEY_MEMOS``, so each distinct token is
 normalized once per process, not once per call.  The tie order is fixed:
 when costs tie, the backtrace takes match, then substitute, then delete,
 then insert, so identical inputs always produce identical edit scripts,
-banded or not.  All aligners share one forward pass and one backtrace;
+banded or not.  All aligners share one forward loop and one backtrace;
 projection reads positions off the backtrace, with no ``EditOp`` objects.
 The table of (b, a) is the transpose of that of (a, b), so ``variants``
 (``cross_project``) runs one forward pass and two backtraces.  The one from
@@ -44,7 +44,8 @@ immediately before each boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
+from operator import rshift
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .text import (
@@ -150,136 +151,128 @@ def _comparison_keys(a: Sequence[str], b: Sequence[str], policy: NormalizationPo
     return list(map(key, a)), list(map(key, b))
 
 
-def _lanes(pairs: Sequence[Tuple[Sequence[str], Sequence[str]]], keep: bool = False) -> list:
-    """Each pair's distance, or with ``keep`` its forward tuple, from one pass over all rows.
+def _peq(b_keys: Sequence[str]) -> dict:
+    """Per comparison key of ``b``, the bits j-1 of the columns j whose token has that key."""
+    peq: dict = {}
+    for j, t in enumerate(b_keys):
+        peq[t] = peq.get(t, 0) | 1 << j
+    return peq
+
+
+def _recurrence(
+    matches: Iterator[int], lanes: Sequence[Tuple[int, int, int]], moves: range = range(0), rows=None
+) -> list:
+    """Each lane's D'[n][m], by Myers' recurrence over packed match rows; the window moves on ``moves``.
 
     Myers' recurrence (JACM 46(3), 1999) in its global form runs once per
-    row for every pair of keys at once.  Pair d has a lane of 8 * (m_d // 8
-    + 1) bits at bit offset ``off`` of one Python int: its columns 1 .. m_d
-    are the bits off .. off + m_d - 1 of ``mask``, and at least one guard
-    bit, clear in ``mask``, sits above them.  A carry out of the row ends
-    in the guard bit, and so does a shift left, which every mask then
-    clears, so no lane sees another's bits.  The border column 0, where the
-    difference is always +1, is bit ``off`` of ``starts``.  Packed match row
-    i has lane d's bit j-1 set where ``b[j-1]`` has the key of ``a[i-1]``:
-    one ``int.from_bytes`` of each lane's bytes for that key, from a table
-    of per-key bytes that each lane builds once.  A lane past its last token
-    of ``a`` matches nothing; those rows are never read for it.  Row i gives
+    row for every lane at once.  Lane d, ``(off, width, n)``, ends after n
+    rows, and its window is the bits off .. off + width - 1 of ``mask``,
+    with at least one guard bit, clear in ``mask``, above it: a carry out of
+    the lane, or a shift left, ends there, and every mask clears it.  Row
+    i's window holds the columns c+1 .. c+width (c is 0 on full rows), and
+    match row i has bit off+j-1-c set where ``b[j-1]`` has the key of
+    ``a[i-1]``.  Row i gives
 
-    * ``d0`` bit off+j-1: D[i][j] == D[i-1][j-1] (diagonal step costs nothing);
-    * ``hp`` / ``hn`` bit off+j: D[i][j] - D[i-1][j] is +1 / -1;
-    * ``vp`` / ``vn`` bit off+j-1: D[i][j] - D[i][j-1] is +1 / -1.
+    * ``d0`` bit off+j-1-c: D'[i][j] == D'[i-1][j-1] (diagonal step costs nothing);
+    * ``hp`` / ``hn`` bit off+j-c: D'[i][j] - D'[i-1][j] is +1 / -1; bit off
+      (``starts``) is the border column c, where the difference is always +1;
+    * ``vp`` / ``vn`` bit off+j-1-c: D'[i][j] - D'[i][j-1] is +1 / -1.
 
-    Each lane's distance is its row count plus its +1 steps minus its -1
-    steps on its own last row.  With ``keep``, every row's ``d0``, ``hp``
-    and ``vp`` are kept for the whole group, and each pair's forward tuple
-    reads them at its offset (see ``_forward``).
+    A band is a lane group of one whose window moves one column right on
+    each row of ``moves`` (0-based, before that row), as in Hyyro's banded
+    bit-vector (2003): the row before loses its first delta, which the
+    border value takes (``dropped``), and gains the next column at +1
+    (``top``), the cost through its left neighbour.  So every D' is the cost
+    of some path, and every path inside the window counts: D' = D on every
+    cell that an optimal path inside the window reaches, and on full rows D'
+    is D.  With ``rows`` = ``(diag, down, left)``, three lists, row 0 and
+    then every row's ``d0``, ``hp`` and ``vp`` are appended to them;
+    otherwise only the current row is kept.  D'[n][c] is n plus what the
+    border took (nothing on a window that never moves), so each lane's
+    distance adds its +1 steps on its own last row and subtracts its -1
+    steps.
     """
-    nbytes = [len(b) // 8 + 1 for _, b in pairs]
-    offsets = [0, *accumulate(8 * size for size in nbytes)]
     mask = starts = 0
-    ending: dict = {}  # row count -> pairs that end there
-    for d, (a, b) in enumerate(pairs):
-        mask |= ((1 << len(b)) - 1) << offsets[d]
-        starts |= 1 << offsets[d]
-        ending.setdefault(len(a), []).append(d)
-    rows = max(ending, default=0)
-    columns = []
-    for (a, b), size in zip(pairs, nbytes):
-        peq: dict = {}
-        for j, t in enumerate(b):
-            peq[t] = peq.get(t, 0) | 1 << j
-        table = {t: bits.to_bytes(size, "little") for t, bits in peq.items()}
-        zero = bytes(size)
-        column = list(map(table.get, a, repeat(zero)))
-        column += repeat(zero, rows - len(a))
-        columns.append(column)
-    matches = map(int.from_bytes, map(b"".join, zip(*columns)), repeat("little"))
-    if keep:
-        diag, down, left = [0], [0], [mask]  # row 0: D[0][j] = j
-        keep_diag, keep_down, keep_left = diag.append, down.append, left.append
-    distances = [0] * len(pairs)
+    ending: dict = {}  # row count -> lanes that end there
+    for d, (off, width, n) in enumerate(lanes):
+        mask |= ((1 << width) - 1) << off
+        starts |= 1 << off
+        ending.setdefault(n, []).append(d)
+    top = mask ^ mask >> 1  # a band's one lane: bit width - 1
+    if rows is not None:
+        keep_diag, keep_down, keep_left = (kept.append for kept in rows)
+        keep_diag(0)  # row 0: D[0][j] = j, only inserts
+        keep_down(0)
+        keep_left(mask)
+    distances = [0] * len(lanes)
     vp, vn = mask, 0
-    done = 0
-    for end in sorted(ending):
+    dropped = done = 0  # dropped: D'[i][c] - i, what the border value took
+    for end in sorted({*ending, moves.start, moves.stop}):
+        moving = done in moves
         for x in islice(matches, end - done):
+            if moving:
+                dropped += (vp & 1) - (vn & 1)
+                vp = vp >> 1 | top
+                vn >>= 1
             x |= vn
             d0 = ((((x & vp) + vp) ^ vp) | x) & mask
             hp = (vn | mask ^ (d0 | vp)) << 1 | starts
             hn = (vp & d0) << 1
             vp = (hn | (d0 | hp) ^ mask) & mask
             vn = hp & d0
-            if keep:
+            if rows is not None:
                 keep_diag(d0)
                 keep_down(hp)
                 keep_left(vp)
         done = end
-        for d in ending[end]:
-            lane = (1 << len(pairs[d][1])) - 1
-            off = offsets[d]
-            distances[d] = end + (vp >> off & lane).bit_count() - (vn >> off & lane).bit_count()
-    if not keep:
-        return distances
-    return [(a, b, diag, down, left, 0, 0, off) for (a, b), off in zip(pairs, offsets)]
+        for d in ending.get(end, ()):
+            off, width, _ = lanes[d]
+            lane = (1 << width) - 1
+            distances[d] = end + dropped + (vp >> off & lane).bit_count() - (vn >> off & lane).bit_count()
+    return distances
 
 
-def _myers(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
-    """D'[n][m] >= D[n][m] of the keys, by Myers' recurrence on a band of ``width`` columns.
+def _lanes(pairs: Sequence[Tuple[Sequence[str], Sequence[str]]], keep: bool = False) -> list:
+    """Each pair's distance, or with ``keep`` its forward tuple, from one pass over all full rows.
 
-    The recurrence of ``_lanes``, for one pair, on a window narrower than
-    the row: Python ints serve as bit vectors over ``width`` columns of
-    ``b``, and ``peq[k]`` has bit j-1 set where ``b[j-1]`` has comparison
-    key k.  Row i holds the columns c+1 .. c+width, with c = clamp(i + lo -
-    1, 0, m - width), reads ``peq`` c bits lower, and gives
-
-    * ``d0`` bit j-1-c: D'[i][j] == D'[i-1][j-1] (diagonal step costs nothing);
-    * ``hp`` / ``hn`` bit j-c: D'[i][j] - D'[i-1][j] is +1 / -1; bit 0 is the
-      border column c, where the difference is always +1;
-    * ``vp`` / ``vn`` bit j-1-c: D'[i][j] - D'[i][j-1] is +1 / -1.
-
-    The window is a band, as in Hyyro's banded bit-vector (2003): the
-    diagonals j - i = ``lo`` .. ``lo + width - 1`` and, through the middle
-    rows, one column further right than the row before.  On that move the
-    row before loses its first delta, which the border value takes, and
-    gains the next column at +1 (``top``), the cost through its left
-    neighbour.  The border column c counts D'[i][c] = D'[i-1][c] + 1 as the
-    full row counts column 0.  So every D' is the cost of some path, and
-    every path inside the window counts: D' = D on every cell that an
-    optimal path inside the band reaches.  Each row costs a fixed number of
-    big-int operations on ``width``-bit values.  With ``rows`` = ``(diag,
-    down, left)``, three lists, row i's ``d0``, ``hp`` and ``vp`` are
-    appended to them; otherwise only the current row is kept.  D'[n][c] = n
-    plus what the border took, so the distance adds the last row's +1 steps
-    and subtracts its -1 steps.
+    Pair d has a lane of 8 * (m_d // 8 + 1) bits at bit offset ``off``: at
+    least one guard bit above its m_d columns.  Packed match row i is one
+    ``int.from_bytes`` of each lane's bytes for the key of ``a[i-1]``, from
+    per-key bytes that each lane builds once; past its last token of ``a``
+    a lane matches nothing.  With ``keep``, the group's rows are kept, and
+    each pair's forward tuple reads them at its offset.
     """
-    m = len(b_keys)
-    mask = (1 << width) - 1
-    top = mask ^ mask >> 1  # bit width-1
+    nbytes = [len(b) // 8 + 1 for _, b in pairs]
+    offsets = [0, *accumulate(8 * size for size in nbytes)]
+    rows = max((len(a) for a, _ in pairs), default=0)
+    columns = []
+    for (a, b), size in zip(pairs, nbytes):
+        table = {t: bits.to_bytes(size, "little") for t, bits in _peq(b).items()}
+        zero = bytes(size)
+        column = list(map(table.get, a, repeat(zero)))
+        column += repeat(zero, rows - len(a))
+        columns.append(column)
+    matches = map(int.from_bytes, map(b"".join, zip(*columns)), repeat("little"))
+    lanes = [(off, len(b), len(a)) for (a, b), off in zip(pairs, offsets)]
+    kept = ([], [], []) if keep else None
+    distances = _recurrence(matches, lanes, rows=kept)
+    return [(a, b, *kept, 0, 0, off) for (a, b), off in zip(pairs, offsets)] if keep else distances
+
+
+def _band(a_keys: Sequence[str], b_keys: Sequence[str], lo: int, width: int, rows=None) -> int:
+    """D'[n][m] >= D[n][m] of the keys, on a band of ``width`` columns: a lane of one whose window moves.
+
+    Row i's window, after column c = clamp(i + lo - 1, 0, m - width), holds
+    the diagonals j - i = ``lo`` .. ``lo + width - 1``, so its match row is
+    ``peq`` shifted c bits lower, in C before the loop sees it.
+    """
+    n, m = len(a_keys), len(b_keys)
     last = m - width
-    peq: dict = {}
-    for j, t in enumerate(b_keys):
-        peq[t] = peq.get(t, 0) | 1 << j
-    if rows is not None:
-        keep_diag, keep_down, keep_left = (kept.append for kept in rows)
-    vp, vn = mask, 0  # row 0: D[0][j] = j
-    c = dropped = 0  # dropped: D'[i][c] - i, what the border value took
-    for i, t in enumerate(a_keys, lo):  # i = row + lo - 1, c before the clamp
-        if 0 < i <= last:
-            dropped += (vp & 1) - (vn & 1)
-            vp = vp >> 1 | top
-            vn >>= 1
-            c = i
-        x = peq.get(t, 0) >> c | vn
-        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
-        hp = (vn | mask ^ (d0 | vp)) << 1 | 1
-        hn = (vp & d0) << 1
-        vp = (hn | (d0 | hp) ^ mask) & mask
-        vn = hp & d0
-        if rows is not None:
-            keep_diag(d0)
-            keep_down(hp)
-            keep_left(vp)
-    return len(a_keys) + dropped + vp.bit_count() - vn.bit_count()
+    first, stop = (min(max(k - lo, 0), n) for k in (1, last + 1))  # rows i - 1 where 0 < i + lo - 1 <= last
+    shifts = chain(repeat(0, first), range(first + lo, stop + lo), repeat(last, n - stop))
+    matches = map(rshift, map(_peq(b_keys).get, a_keys, repeat(0)), shifts)
+    (distance,) = _recurrence(matches, [(0, width, n)], range(first, stop), rows)
+    return distance
 
 
 def _first_band(a_keys: Sequence[str], b_keys: Sequence[str]) -> int:
@@ -309,8 +302,9 @@ def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
     every optimal path: the backtrace on its rows makes the same choices as
     on the full rows.  Otherwise D'[n][m] bounds the distance and sizes a
     second band that cannot fail.  A row shorter than ``BAND_MIN_COLUMNS``,
-    or a band wider than half the row, leaves the pair to the full rows of
-    ``_lanes``.  The forward tuple's ``lo`` and ``last`` = m - ``width``
+    or a band wider than half the row, leaves the pair to a lane group of
+    full rows.  Each band runs in ``_band``, a lane group of one whose
+    window moves; the forward tuple's ``lo`` and ``last`` = m - ``width``
     place row i's window after column clamp(i + lo - 1, 0, last).
     """
     n, m = len(a_keys), len(b_keys)
@@ -322,8 +316,8 @@ def _passes(a_keys: Sequence[str], b_keys: Sequence[str], keep: bool = False):
         lo, width = min(0, m - n) - k, 2 * k + 1 + skew
         if 2 * width > m:
             return None
-        rows = ([0], [0], [(1 << width) - 1]) if keep else None
-        distance = _myers(a_keys, b_keys, lo, width, rows)
+        rows = ([], [], []) if keep else None
+        distance = _band(a_keys, b_keys, lo, width, rows)
         if distance <= width:
             return (a_keys, b_keys, *rows, lo, m - width, 0) if keep else distance
         # The smallest K whose width holds D'[n][m] >= D[n][m]: it cannot fail.
@@ -365,7 +359,7 @@ def _forward(pairs: Iterable[Tuple[Sequence[str], Sequence[str]]], policy: Norma
     (0 on full rows, where ``last`` is 0) and ``off`` the pair's lane offset
     (0 on a band), ``diag`` bit off+j-1-c is D[i][j] == D[i-1][j-1],
     ``down`` bit off+j-c is D[i][j] == D[i-1][j] + 1 and ``left`` bit
-    off+j-1-c is D[i][j] == D[i][j-1] + 1 (see ``_lanes`` and ``_myers``).
+    off+j-1-c is D[i][j] == D[i][j-1] + 1 (see ``_recurrence``).
     Row 0 is before any token of a: only inserts, every D[0][j] - D[0][j-1]
     = +1.  The rows of a lane group are shared by its pairs.
     """
@@ -435,9 +429,8 @@ def edit_distance(
 ) -> int:
     """Levenshtein distance under the ``policy`` comparison normalization.
 
-    Runs the bit-parallel forward pass (on a band when the rows are long, see
-    ``_passes``) keeping only the current row, so memory is O(len(b)); the
-    distance is read off the last row.
+    Runs the one bit-parallel forward loop, on a band or on full rows (see
+    ``_passes``), keeping only the current row, so memory is O(len(b)).
     """
     (distance,) = _aligned([_comparison_keys(a, b, policy)])
     return distance

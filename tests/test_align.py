@@ -339,10 +339,10 @@ def banded_from(first_k):
     band of half-width ``first_k``.  Yields the ``(width, distance)`` of every
     banded pass."""
     passes = []
-    myers = segmt.align._myers
+    band = segmt.align._band
 
     def spy(a_keys, b_keys, lo, width, rows=None):
-        distance = myers(a_keys, b_keys, lo, width, rows)
+        distance = band(a_keys, b_keys, lo, width, rows)
         if width < len(b_keys):  # a band; the full row is as wide as the row
             passes.append((width, distance))
         return distance
@@ -350,7 +350,7 @@ def banded_from(first_k):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(segmt.align, "BAND_MIN_COLUMNS", 0)
         patch.setattr(segmt.align, "_first_band", lambda a_keys, b_keys: first_k)
-        patch.setattr(segmt.align, "_myers", spy)
+        patch.setattr(segmt.align, "_band", spy)
         yield passes
 
 
@@ -455,22 +455,22 @@ def skewed_copies(n, seed, clean, noise):
 
 def test_no_pair_takes_more_than_two_forward_passes(monkeypatch):
     """Real gate and first band: the passes each forward pass makes over the
-    whole pair, on the band loop (``_myers``) or the lane pass (``_lanes``;
-    the prefix sample that sizes the first band is not one), and scripts in
-    both directions equal to those of the full rows."""
+    whole pair, on a band (``_band``) or in a lane group (``_lanes``; the
+    prefix sample that sizes the first band is not one), and scripts in both
+    directions equal to those of the full rows."""
     passes = []
-    myers, lanes = segmt.align._myers, segmt.align._lanes
+    band, lanes = segmt.align._band, segmt.align._lanes
 
     def band_spy(a_keys, b_keys, lo, width, rows=None):
-        assert width < len(b_keys)  # the band loop never runs a full row
+        assert width < len(b_keys)  # a band never runs a full row
         passes.append(("band", len(a_keys), len(b_keys)))
-        return myers(a_keys, b_keys, lo, width, rows)
+        return band(a_keys, b_keys, lo, width, rows)
 
     def lane_spy(pairs, keep=False):
         passes.extend(("lanes", len(a_keys), len(b_keys)) for a_keys, b_keys in pairs)
         return lanes(pairs, keep)
 
-    monkeypatch.setattr(segmt.align, "_myers", band_spy)
+    monkeypatch.setattr(segmt.align, "_band", band_spy)
     monkeypatch.setattr(segmt.align, "_lanes", lane_spy)
     cases = {
         "even noise: one band": (noisy_copy(3000, seed=7001), ["band"]),
@@ -622,11 +622,11 @@ def test_a_corpus_of_band_and_lane_pairs_keeps_its_order():
     short = [noisy_copy(n, seed) for n, seed in ((300, 1), (0, 2), (150, 3), (450, 4), (9, 5))]
     pairs = [short[0], short[1], band, short[2], wide, short[3], (short[4][0], []), ([], band[1])]
     log = []
-    myers, lanes = segmt.align._myers, segmt.align._lanes
+    band, lanes = segmt.align._band, segmt.align._lanes
 
     def band_spy(a_keys, b_keys, lo, width, rows=None):
         log.append(("band", len(a_keys)))
-        return myers(a_keys, b_keys, lo, width, rows)
+        return band(a_keys, b_keys, lo, width, rows)
 
     def lane_spy(group, keep=False):
         sizes = [len(a_keys) for a_keys, _ in group]
@@ -635,7 +635,7 @@ def test_a_corpus_of_band_and_lane_pairs_keeps_its_order():
         return lanes(group, keep)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(segmt.align, "_myers", band_spy)
+        patch.setattr(segmt.align, "_band", band_spy)
         patch.setattr(segmt.align, "_lanes", lane_spy)
         forwards = list(segmt.align._forward(pairs, ALIGNMENT_NORMALIZATION))
     n = [len(a) for a, _ in pairs]

@@ -51,3 +51,29 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         ]
     assert unused == []
+
+
+def is_add_step(node):
+    """True for ``((x & v) + v) ^ v``, Myers' add step, whatever the names."""
+
+    def binop(node, op):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+    return (
+        binop(node, ast.BitXor)
+        and binop(node.left, ast.Add)
+        and binop(node.left.left, ast.BitAnd)
+        and ast.dump(node.left.left.right) == ast.dump(node.left.right) == ast.dump(node.right)
+    )
+
+
+def test_myers_recurrence_runs_in_one_function():
+    holders = []
+    for path in sorted(pathlib.Path(segmt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        holders += [
+            f"{path.name}:{func.lineno}: {func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and any(map(is_add_step, ast.walk(func)))
+        ]
+    assert len(holders) == 1, holders

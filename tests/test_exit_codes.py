@@ -296,13 +296,12 @@ def test_each_input_rejection_exits_2_with_its_message(tmp_path, monkeypatch):
         code, err = run(argv)
         assert code == 2 and "5 x 5 tokens exceeds the budget" in err, (argv, err)
     # Only the second pair (4 x 4) is over budget: the whole corpus is checked
-    # before the first alignment runs, so none does, on a band (``_myers``) or
-    # on full rows (``_lanes``).
+    # before the first alignment runs, so none does: no pass of Myers'
+    # recurrence (``_recurrence``), which every band and lane group runs.
     late = write(tmp_path / "late.txt", "a b\n\nc d\ne f\n")
-    myers, lanes = segmt.align._myers, segmt.align._lanes
+    recurrence = segmt.align._recurrence
     calls = []
-    monkeypatch.setattr(segmt.align, "_myers", lambda *a, **kw: calls.append(a) or myers(*a, **kw))
-    monkeypatch.setattr(segmt.align, "_lanes", lambda *a, **kw: calls.append(a) or lanes(*a, **kw))
+    monkeypatch.setattr(segmt.align, "_recurrence", lambda *a, **kw: calls.append(a) or recurrence(*a, **kw))
     aligning = (["project", late, late, "-o", out],
                 ["variants", late, late, "-d", str(tmp_path / "variants")],
                 ["score", late, late, "--resegment"], ["report", late, late])
