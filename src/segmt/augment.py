@@ -47,7 +47,7 @@ class AugmentationConfig:
     """Augmentation knobs: truncation-fraction cap and RNG seed."""
 
     p_max: float = 0.3
-    seed: Optional[int] = None  # unset: CLI falls back to the top-level seed; draws as 0
+    seed: Optional[int] = None  # unset: the CLI's settings give it the top-level seed; draws as 0
 
     def __post_init__(self):
         if not 0 < self.p_max <= 1:

@@ -6,9 +6,12 @@ variants, augment, mix, score, wer, simulate, report.  Exit codes are 0
 error).  Randomized subcommands take ``--seed`` and print the effective
 seed; identical invocations produce byte-identical outputs.
 
-A YAML config file supplies defaults for most flags.  It is found through
-``--config`` or the ``SEGMT_CONFIG`` environment variable; explicit flags
-always win.
+Each command's settings are resolved once, in ``_settings``, into one
+effective ``PipelineConfig``: the flag given, else the value in the YAML
+config file (``--config``, else the ``SEGMT_CONFIG`` environment variable),
+else the default.  A settings flag's ``dest`` is the config key that it
+sets.  Handlers read settings only from that config, and only file operands
+and command-only options from the parsed arguments.
 """
 
 from __future__ import annotations
@@ -78,33 +81,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG_PATH)
-    if path:
-        return load_config(path)
-    return PipelineConfig()
+def _settings(args) -> PipelineConfig:
+    """The command's effective settings: each flag given, else the config's value, else the default.
+
+    A settings flag's ``dest`` is the config key that it sets, dotted for a
+    key of a section.  ``--seed`` sets the top-level seed and both section
+    seeds; a section seed left unset takes the top-level seed.
+    """
+    path = args.config or os.environ.get(ENV_CONFIG_PATH)
+    cfg = load_config(path) if path else PipelineConfig()
+    keys = {field.name for field in dataclasses.fields(cfg)}
+    given: Dict[str, dict] = {"": {}}  # the flags given, by section ("" for the top level)
+    for key, value in vars(args).items():
+        section, _, name = key.rpartition(".")
+        if value is not None and (section or key in keys):
+            given.setdefault(section, {})[name] = value
+    top = given.pop("")
+    if "normalization" in top:
+        top["normalization"] = _POLICIES[top["normalization"]]
+    for section in ("augmentation", "noise"):
+        if "seed" in top or getattr(cfg, section).seed is None:
+            given.setdefault(section, {})["seed"] = top.get("seed", cfg.seed)
+    try:
+        for section, values in given.items():
+            top[section] = dataclasses.replace(getattr(cfg, section), **values)
+        return dataclasses.replace(cfg, **top)
+    except ValueError as err:  # the config was checked when loaded, so a flag is at fault
+        raise UsageError(str(err)) from err
 
 
-def _first_set(*values):
-    """The first value that is set (not None): a seed's or a path's fallback chain."""
-    return next((value for value in values if value is not None), None)
-
-
-def _path(args, cfg: PipelineConfig, kind: str) -> str:
-    """The ``kind`` ("input" or "output") file: its argument, else the config's ``<kind>_path``."""
-    path = _first_set(getattr(args, kind), getattr(cfg, f"{kind}_path") or None)
-    if path is None:
+def _path(cfg: PipelineConfig, kind: str) -> str:
+    """The effective ``<kind>_path`` ("input" or "output"), which must be set."""
+    path = getattr(cfg, f"{kind}_path")
+    if not path:
         hint = "a path" if kind == "input" else "--output"
         raise UsageError(f"no {kind} file given (pass {hint} or set {kind}_path in the config)")
     return path
-
-
-def _overlay(settings, **flags):
-    """``settings`` (the config's, else the defaults) with the flags given (not None) on top."""
-    try:
-        return dataclasses.replace(settings, **{k: v for k, v in flags.items() if v is not None})
-    except ValueError as err:  # the settings were checked when built, so a flag is at fault
-        raise UsageError(str(err)) from err
 
 
 def _drop_empty(docs: Sequence[SegmentedDocument], action: str) -> List[SegmentedDocument]:
@@ -132,11 +144,18 @@ def _parse_bounds(text: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(bounds)
 
 
+def _file(text: str) -> str:
+    """A path operand, refused while parsing if it holds a NUL byte, as no file name can."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte: {text!r}")
+    return text
+
+
 def _parse_corpus(text: str) -> Tuple[str, str, Optional[str]]:
     label, sep, paths = text.partition("=")
     if not sep or not label or not paths:
         raise argparse.ArgumentTypeError(f"expected LABEL=ORIGINALS[:AUGMENTED], got {text!r}")
-    original, _, augmented = paths.partition(":")
+    original, _, augmented = _file(paths).partition(":")
     return label, original, augmented or None
 
 
@@ -154,38 +173,33 @@ def _parse_weight(text: str) -> Tuple[str, float]:
 
 
 def cmd_normalize(args, cfg: PipelineConfig) -> int:
-    policy = _POLICIES[args.policy] if args.policy else cfg.normalization
-    docs = read_documents(_path(args, cfg, "input"))
-    normalized = [normalize_document(doc, policy) for doc in docs]
-    write_documents(_path(args, cfg, "output"), _drop_empty(normalized, "normalization"))
+    docs = read_documents(_path(cfg, "input"))
+    normalized = [normalize_document(doc, cfg.normalization) for doc in docs]
+    write_documents(_path(cfg, "output"), _drop_empty(normalized, "normalization"))
     return EXIT_OK
 
 
 def cmd_segment_punct(args, cfg: PipelineConfig) -> int:
-    docs = read_documents(_path(args, cfg, "input"))
+    docs = read_documents(_path(cfg, "input"))
     out = [
         break_on_punctuation(doc.tokens(), doc_id=doc.doc_id)
         for doc in docs
     ]
-    write_documents(_path(args, cfg, "output"), out)
+    write_documents(_path(cfg, "output"), out)
     return EXIT_OK
 
 
 def cmd_segment_fixed(args, cfg: PipelineConfig) -> int:
-    length = _overlay(cfg, fixed_length=args.n).fixed_length
-    docs = read_documents(_path(args, cfg, "input"))
-    out = [split_fixed_length(doc.tokens(), length, doc_id=doc.doc_id) for doc in docs]
-    write_documents(_path(args, cfg, "output"), out)
+    docs = read_documents(_path(cfg, "input"))
+    out = [split_fixed_length(doc.tokens(), cfg.fixed_length, doc_id=doc.doc_id) for doc in docs]
+    write_documents(_path(cfg, "output"), out)
     return EXIT_OK
 
 
 def cmd_segment_pause(args, cfg: PipelineConfig) -> int:
-    split_cfg = _overlay(
-        cfg.pause_split, pause_threshold_sec=args.threshold, max_tokens=args.max_tokens
-    )
-    transcripts = read_transcripts(_path(args, cfg, "input"))
-    out = [split_on_pauses(t, split_cfg) for t in transcripts]
-    write_documents(_path(args, cfg, "output"), _drop_empty(out, "pause splitting"))
+    transcripts = read_transcripts(_path(cfg, "input"))
+    out = [split_on_pauses(t, cfg.pause_split) for t in transcripts]
+    write_documents(_path(cfg, "output"), _drop_empty(out, "pause splitting"))
     return EXIT_OK
 
 
@@ -197,7 +211,7 @@ def cmd_project(args, cfg: PipelineConfig) -> int:
         rebuild(tokens, (k for k in ends if k >= 0), doc_id=tgt.doc_id)
         for (_, tokens), (_, tgt), ends in zip(jobs, pairs, positions)
     ]
-    write_documents(_path(args, cfg, "output"), out)
+    write_documents(_path(cfg, "output"), out)
     return EXIT_OK
 
 
@@ -215,20 +229,16 @@ def cmd_variants(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.augmentation.seed, cfg.seed)
-    aug_cfg = _overlay(cfg.augmentation, p_max=args.p_max, seed=seed)
-    blocks = read_bitext_lines(_path(args, cfg, "input"))
-    augmented = augment_blocks(blocks, aug_cfg)
-    write_bitext_lines(_path(args, cfg, "output"), augmented)
-    print(f"effective seed: {seed}")
+    blocks = read_bitext_lines(_path(cfg, "input"))
+    augmented = augment_blocks(blocks, cfg.augmentation)
+    write_bitext_lines(_path(cfg, "output"), augmented)
+    print(f"effective seed: {cfg.augmentation.seed}")
     # Every merge keeps both sides non-empty, so none is skipped; the field keeps the format.
     print(f"augmented {sum(map(len, augmented))} pair(s), skipped 0")
     return EXIT_OK
 
 
 def cmd_mix(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.seed)
-    cfg = _overlay(cfg, mixture_augmented_fraction=args.augmented_fraction)
     if args.total < 0:
         raise UsageError("--total must be >= 0")
     paths = {}
@@ -243,8 +253,8 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
         if label not in paths:
             raise UsageError(f"mixture references unknown corpus {label!r}")
         weights[label] = weight
-    try:  # the weights come only from flags, so there are no settings to overlay
-        spec = MixtureSpec(weights, cfg.mixture_augmented_fraction, seed)
+    try:  # the weights come only from flags, so a bad one is a usage error
+        spec = MixtureSpec(weights, cfg.mixture_augmented_fraction, cfg.seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
     weighted = sorted(weights)  # the order mixture_draws checks in, and of its pool ids
@@ -269,8 +279,8 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
             counts.update(pool_ids)
             yield map(getitem, map(pools.__getitem__, pool_ids), indices)
 
-    write_bitext_lines(_path(args, cfg, "output"), [chain.from_iterable(drawn_lines())])
-    print(f"effective seed: {seed}")
+    write_bitext_lines(_path(cfg, "output"), [chain.from_iterable(drawn_lines())])
+    print(f"effective seed: {cfg.seed}")
     drew = [(label, counts[2 * k] + counts[2 * k + 1]) for k, label in enumerate(weighted)]
     summary = ", ".join(f"{label}: {n}" for label, n in drew if n)
     print(f"drew {args.total} pair(s) ({summary})" if args.total else "drew 0 pair(s)")
@@ -278,16 +288,10 @@ def cmd_mix(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
-    bleu_cfg = _overlay(
-        cfg.bleu,
-        max_ngram_order=args.max_order,
-        case_sensitive=False if args.case_insensitive else None,
-        smoothing=args.smoothing,
-    )
     hyp_docs = read_documents(args.hypothesis)
     ref_docs = read_documents(args.reference)
     if args.resegment:
-        report = score_documents(hyp_docs, ref_docs, bleu_cfg, cfg.alignment)
+        report = score_documents(hyp_docs, ref_docs, cfg.bleu, cfg.alignment)
     else:
         # Plain scoring pairs segments 1:1, so both sides must be cut alike.
         for hyp, ref in paired_documents(hyp_docs, ref_docs):
@@ -299,7 +303,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
                 )
         hyp_segments = [seg for doc in hyp_docs for seg in doc.segments]
         ref_segments = [seg for doc in ref_docs for seg in doc.segments]
-        report = corpus_bleu(hyp_segments, ref_segments, bleu_cfg)
+        report = corpus_bleu(hyp_segments, ref_segments, cfg.bleu)
     print(f"BLEU {report.score:.2f}")
     precisions = "/".join(f"{100.0 * p:.1f}" for p in report.ngram_precisions)
     print(f"precisions: {precisions}")
@@ -325,25 +329,15 @@ def cmd_wer(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
-    seed = _first_set(args.seed, cfg.noise.seed, cfg.seed)
-    noise_cfg = _overlay(
-        cfg.noise,
-        substitution_rate=args.substitution_rate,
-        deletion_rate=args.deletion_rate,
-        insertion_rate=args.insertion_rate,
-        boundary_merge_rate=args.merge_rate,
-        boundary_split_rate=args.split_rate,
-        seed=seed,
-    )
-    docs = read_documents(_path(args, cfg, "input"))
-    vocabulary = cfg.noise.vocabulary
-    if args.vocab or not vocabulary:  # the tokens of --vocab, else of the input
+    docs = read_documents(_path(cfg, "input"))
+    noise = cfg.noise
+    if args.vocab or not noise.vocabulary:  # the tokens of --vocab, else of the input
         source = read_documents(args.vocab) if args.vocab else docs
         vocabulary = tuple(sorted({tok for doc in source for tok in doc.tokens()}))
-    noise_cfg = dataclasses.replace(noise_cfg, vocabulary=vocabulary)
-    corrupted = [corrupt_boundaries(corrupt_tokens(doc, noise_cfg), noise_cfg) for doc in docs]
-    write_documents(_path(args, cfg, "output"), _drop_empty(corrupted, "corruption"))
-    print(f"effective seed: {seed}")
+        noise = dataclasses.replace(noise, vocabulary=vocabulary)
+    corrupted = [corrupt_boundaries(corrupt_tokens(doc, noise), noise) for doc in docs]
+    write_documents(_path(cfg, "output"), _drop_empty(corrupted, "corruption"))
+    print(f"effective seed: {noise.seed}")
     return EXIT_OK
 
 
@@ -363,65 +357,71 @@ def cmd_report(args, cfg: PipelineConfig) -> int:
 # ------------------------------------------------------------ parser setup
 
 
+def _paths(p: argparse.ArgumentParser, input_help: Optional[str], output_help: str) -> None:
+    """Add the ``input`` operand (if ``input_help`` is given) and ``-o``: the config's two paths."""
+    if input_help:
+        p.add_argument("input_path", nargs="?", type=_file, metavar="input", help=input_help)
+    p.add_argument("-o", "--output", dest="output_path", type=_file, metavar="OUTPUT",
+                   help=output_help)
+
+
+def _setting(p: argparse.ArgumentParser, flag: str, key: str, what: str, kind=float) -> None:
+    """Add ``flag``, which sets config ``key``, with the metavar argparse derives from ``flag``."""
+    p.add_argument(flag, dest=key, type=kind, metavar=flag[2:].upper().replace("-", "_"), help=what)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="YAML config file")
+    common.add_argument("--config", type=_file, metavar="PATH", help="YAML config file")
 
     parser = _Parser(prog="segmt", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("normalize", parents=[common], help="normalize document tokens")
-    p.add_argument("input", nargs="?", help="document file (default: config input_path)")
-    p.add_argument("-o", "--output", help="output document file")
-    p.add_argument("--policy", choices=sorted(_POLICIES), help="named policy override")
-    p.set_defaults(func=cmd_normalize)
+    def command(subparsers, name: str, handler, what: str) -> argparse.ArgumentParser:
+        """The parser of subcommand ``name``, which takes ``--config`` and runs ``handler``."""
+        p = subparsers.add_parser(name, parents=[common], help=what)
+        p.set_defaults(func=handler)
+        return p
+
+    p = command(sub, "normalize", cmd_normalize, "normalize document tokens")
+    _paths(p, "document file (default: config input_path)", "output document file")
+    p.add_argument("--policy", dest="normalization", choices=sorted(_POLICIES),
+                   help="named policy override")
 
     seg = sub.add_parser("segment", help="cut token streams into segments")
     seg_sub = seg.add_subparsers(dest="strategy", required=True, parser_class=_Parser)
 
-    p = seg_sub.add_parser("punct", parents=[common], help="cut after sentence-final punctuation")
-    p.add_argument("input", nargs="?", help="document file")
-    p.add_argument("-o", "--output", help="output document file")
-    p.set_defaults(func=cmd_segment_punct)
+    p = command(seg_sub, "punct", cmd_segment_punct, "cut after sentence-final punctuation")
+    _paths(p, "document file", "output document file")
 
-    p = seg_sub.add_parser("fixed", parents=[common], help="cut into fixed-length chunks")
-    p.add_argument("input", nargs="?", help="document file")
-    p.add_argument("-o", "--output", help="output document file")
-    p.add_argument("--n", type=int, help="tokens per segment")
-    p.set_defaults(func=cmd_segment_fixed)
+    p = command(seg_sub, "fixed", cmd_segment_fixed, "cut into fixed-length chunks")
+    _paths(p, "document file", "output document file")
+    _setting(p, "--n", "fixed_length", "tokens per segment", int)
 
-    p = seg_sub.add_parser("pause", parents=[common], help="cut timed transcripts at pauses")
-    p.add_argument("input", nargs="?", help="timed transcript JSONL file")
-    p.add_argument("-o", "--output", help="output document file")
-    p.add_argument("--threshold", type=float, help="minimum pause in seconds")
-    p.add_argument("--max-tokens", type=int, help="cap on segment length")
-    p.set_defaults(func=cmd_segment_pause)
+    p = command(seg_sub, "pause", cmd_segment_pause, "cut timed transcripts at pauses")
+    _paths(p, "timed transcript JSONL file", "output document file")
+    _setting(p, "--threshold", "pause_split.pause_threshold_sec", "minimum pause in seconds")
+    _setting(p, "--max-tokens", "pause_split.max_tokens", "cap on segment length", int)
 
-    p = sub.add_parser(
-        "project", parents=[common], help="carry boundaries from one transcript to another"
-    )
-    p.add_argument("source", help="document file providing boundaries")
-    p.add_argument("target", help="document file providing tokens")
-    p.add_argument("-o", "--output", help="output document file")
-    p.set_defaults(func=cmd_project)
+    p = command(sub, "project", cmd_project, "carry boundaries from one transcript to another")
+    p.add_argument("source", type=_file, help="document file providing boundaries")
+    p.add_argument("target", type=_file, help="document file providing tokens")
+    _paths(p, None, "output document file")
 
-    p = sub.add_parser(
-        "variants", parents=[common], help="isolate recognition errors from segmentation errors"
-    )
-    p.add_argument("gold", help="gold transcript document file")
-    p.add_argument("system", help="system transcript document file")
-    p.add_argument("-d", "--out-dir", required=True, help="directory for the four variants")
-    p.set_defaults(func=cmd_variants)
+    p = command(sub, "variants", cmd_variants,
+                "isolate recognition errors from segmentation errors")
+    p.add_argument("gold", type=_file, help="gold transcript document file")
+    p.add_argument("system", type=_file, help="system transcript document file")
+    p.add_argument("-d", "--out-dir", type=_file, required=True,
+                   help="directory for the four variants")
 
-    p = sub.add_parser("augment", parents=[common], help="cross-boundary bitext augmentation")
-    p.add_argument("input", nargs="?", help="bitext file")
-    p.add_argument("-o", "--output", help="output bitext file")
-    p.add_argument("--p-max", type=float, help="truncation fraction cap")
+    p = command(sub, "augment", cmd_augment, "cross-boundary bitext augmentation")
+    _paths(p, "bitext file", "output bitext file")
+    _setting(p, "--p-max", "augmentation.p_max", "truncation fraction cap")
     p.add_argument("--seed", type=int, help="random seed (default from config, else 0)")
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("mix", parents=[common], help="sample a weighted training mixture")
+    p = command(sub, "mix", cmd_mix, "sample a weighted training mixture")
     p.add_argument(
         "--corpus",
         action="append",
@@ -439,46 +439,46 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling weight for one corpus (repeatable; weights sum to 1)",
     )
     p.add_argument("--total", type=int, required=True, help="number of pairs to draw")
-    p.add_argument("--augmented-fraction", type=float, help="share drawn from augmented pools")
-    p.add_argument("-o", "--output", help="output bitext file")
+    _setting(p, "--augmented-fraction", "mixture_augmented_fraction",
+             "share drawn from augmented pools")
+    _paths(p, None, "output bitext file")
     p.add_argument("--seed", type=int, help="random seed (default from config, else 0)")
-    p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("score", parents=[common], help="corpus BLEU, optionally resegmented")
-    p.add_argument("hypothesis", help="hypothesis document file")
-    p.add_argument("reference", help="reference document file")
+    p = command(sub, "score", cmd_score, "corpus BLEU, optionally resegmented")
+    p.add_argument("hypothesis", type=_file, help="hypothesis document file")
+    p.add_argument("reference", type=_file, help="reference document file")
     p.add_argument(
         "--resegment",
         action="store_true",
         help="project reference boundaries onto the hypothesis before scoring",
     )
-    p.add_argument("--max-order", type=int, help="largest n-gram order")
-    p.add_argument("--case-insensitive", action="store_true", help="lowercase before scoring")
-    p.add_argument("--smoothing", choices=["none", "add-one"], help="precision smoothing")
-    p.add_argument("--json", metavar="PATH", help="also write a JSONL report")
-    p.set_defaults(func=cmd_score)
+    _setting(p, "--max-order", "bleu.max_ngram_order", "largest n-gram order", int)
+    p.add_argument("--case-insensitive", dest="bleu.case_sensitive", action="store_const",
+                   const=False, help="lowercase before scoring")
+    p.add_argument("--smoothing", dest="bleu.smoothing", choices=["none", "add-one"],
+                   help="precision smoothing")
+    p.add_argument("--json", type=_file, metavar="PATH", help="also write a JSONL report")
 
-    p = sub.add_parser("wer", parents=[common], help="word error rate over documents")
-    p.add_argument("reference", help="reference document file")
-    p.add_argument("hypothesis", help="hypothesis document file")
-    p.add_argument("--json", metavar="PATH", help="also write a JSONL report")
-    p.set_defaults(func=cmd_wer)
+    p = command(sub, "wer", cmd_wer, "word error rate over documents")
+    p.add_argument("reference", type=_file, help="reference document file")
+    p.add_argument("hypothesis", type=_file, help="hypothesis document file")
+    p.add_argument("--json", type=_file, metavar="PATH", help="also write a JSONL report")
 
-    p = sub.add_parser("simulate", parents=[common], help="corrupt tokens and boundaries")
-    p.add_argument("input", nargs="?", help="document file")
-    p.add_argument("-o", "--output", help="output document file")
-    p.add_argument("--substitution-rate", type=float, help="per-token substitution probability")
-    p.add_argument("--deletion-rate", type=float, help="per-token deletion probability")
-    p.add_argument("--insertion-rate", type=float, help="per-gap insertion probability")
-    p.add_argument("--merge-rate", type=float, help="per-boundary merge probability")
-    p.add_argument("--split-rate", type=float, help="per-gap split probability")
-    p.add_argument("--vocab", metavar="PATH", help="replacement vocabulary file (tokens)")
+    p = command(sub, "simulate", cmd_simulate, "corrupt tokens and boundaries")
+    _paths(p, "document file", "output document file")
+    _setting(p, "--substitution-rate", "noise.substitution_rate",
+             "per-token substitution probability")
+    _setting(p, "--deletion-rate", "noise.deletion_rate", "per-token deletion probability")
+    _setting(p, "--insertion-rate", "noise.insertion_rate", "per-gap insertion probability")
+    _setting(p, "--merge-rate", "noise.boundary_merge_rate", "per-boundary merge probability")
+    _setting(p, "--split-rate", "noise.boundary_split_rate", "per-gap split probability")
+    p.add_argument("--vocab", type=_file, metavar="PATH",
+                   help="replacement vocabulary file (tokens)")
     p.add_argument("--seed", type=int, help="random seed (default from config, else 0)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", parents=[common], help="mean BLEU by reference length bucket")
-    p.add_argument("hypothesis", help="hypothesis document file")
-    p.add_argument("reference", help="reference document file")
+    p = command(sub, "report", cmd_report, "mean BLEU by reference length bucket")
+    p.add_argument("hypothesis", type=_file, help="hypothesis document file")
+    p.add_argument("reference", type=_file, help="reference document file")
     p.add_argument(
         "--bounds",
         type=_parse_bounds,
@@ -486,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LO:HI[,LO:HI...]",
         help="bucket bounds (default 0:20,20:40,40:60)",
     )
-    p.add_argument("--json", metavar="PATH", help="also write a JSONL report")
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--json", type=_file, metavar="PATH", help="also write a JSONL report")
 
     return parser
 
@@ -499,13 +498,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args, _pipeline_config(args))
-    except UsageError as err:
+        return args.func(args, _settings(args))
+    except (UsageError, InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_USAGE if isinstance(err, UsageError) else EXIT_INPUT
     except Exception as err:  # any other failure is a bug, never bad input
         tb = err.__traceback__
         while tb.tb_next is not None:

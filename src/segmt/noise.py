@@ -25,7 +25,7 @@ class NoiseConfig:
     boundary_merge_rate: float = 0.0
     boundary_split_rate: float = 0.0
     vocabulary: Tuple[str, ...] = ()
-    seed: Optional[int] = None  # unset: CLI falls back to the top-level seed; draws as 0
+    seed: Optional[int] = None  # unset: the CLI's settings give it the top-level seed; draws as 0
     # Derived from ``vocabulary``: for each token, the number of other
     # entries before each of its occurrences (see ``_substitute``).
     _others_before: Dict[str, List[int]] = field(init=False, repr=False, compare=False)

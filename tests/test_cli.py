@@ -1,5 +1,8 @@
+import argparse
+import ast
 import builtins
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 from unittest import mock
 
@@ -19,12 +23,14 @@ from hypothesis import given, settings, strategies as st
 
 import segmt.align
 import segmt.augment
+import segmt.cli
 import segmt.formats
 import segmt.rng
 import segmt.text
 from segmt.align import ALIGNMENT_NORMALIZATION
 from segmt.augment import AugmentationConfig, MixtureSpec, build_training_mixture
-from segmt.cli import main
+from segmt.cli import build_parser, main
+from segmt.config import PipelineConfig
 from segmt.formats import write_transcripts
 from segmt.rng import make_rng
 from segmt.segment import TimedTranscript
@@ -908,6 +914,70 @@ def test_flag_beats_config_beats_default(tmp_path, name):
     assert result(value, **{key: other for key in keys}) == expected
     for i, key in enumerate(keys):
         assert result(**{key: value}, **{later: other for later in keys[i + 1:]}) == expected, key
+
+
+def test_policy_flag_beats_a_normalization_section_beats_the_default(tmp_path):
+    src = write_lines(tmp_path / "in.txt", "Hello, World!\n")
+    config = tmp_path / "config.yaml"
+    config.write_text("normalization: {lowercase: false}\n", encoding="utf-8")  # still strips punctuation
+    out = tmp_path / "out.txt"
+
+    def normalized(*flags):
+        assert main(["normalize", src, "-o", str(out), *flags]) == 0
+        return out.read_text(encoding="utf-8")
+
+    assert normalized() == "hello world\n"  # the default policy strips everything
+    assert normalized("--config", str(config)) == "Hello World\n"
+    assert normalized("--config", str(config), "--policy", "punctuated") == "Hello, World!\n"
+    assert normalized("--config", str(config), "--policy", "stripped") == "hello world\n"
+
+
+def leaf_parsers(parser, words=()):
+    """Each subcommand's parser, with the words that select it."""
+    subparsers = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        yield words, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, words + (name,))
+
+
+def is_config_key(dest):
+    """Whether ``dest`` names a config key: a section's (dotted) or a ``PipelineConfig`` field."""
+    return "." in dest or dest in {field.name for field in dataclasses.fields(PipelineConfig)}
+
+
+def test_settings_are_resolved_in_one_place():
+    """Each settings flag stores into the config key it sets, and no handler reads one off ``args``.
+
+    So the settings resolver, which merges every such ``dest`` over the
+    config, is the only code that sees a settings flag.
+    """
+    leaves = list(leaf_parsers(build_parser()))
+    actions = {(words, option): action for words, parser in leaves
+               for action in parser._actions for option in action.option_strings}
+    covered = set()
+    for argv, flag, keys, _, _ in PRECEDENCE.values():
+        words = tuple(takewhile(lambda word: not word.startswith(("{", "-")), argv))
+        dest = actions[words, flag[0]].dest
+        assert dest in keys, (words, flag[0], dest)
+        covered.add((words, dest))
+    paths_and_policy = {"input_path", "output_path", "normalization"}
+    setting_flags = {(words, action.dest) for words, parser in leaves for action in parser._actions
+                     if is_config_key(action.dest) and action.dest not in paths_and_policy}
+    assert setting_flags == covered
+
+    tree = ast.parse(Path(segmt.cli.__file__).read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {node.name for node in handlers} == {parser.get_default("func").__name__ for _, parser in leaves}
+    read = set()  # the names that handlers read off ``args``
+    for node in (node for handler in handlers for node in ast.walk(handler)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+            if isinstance(node.args[0], ast.Name) and node.args[0].id == "args":
+                read.add(ast.literal_eval(node.args[1]))  # a name built at run time fails here
+    assert read and not {name for name in read if is_config_key(name)}
 
 
 def test_missing_input_usage_error(tmp_path, capsys):

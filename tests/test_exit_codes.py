@@ -9,6 +9,7 @@ a library ``ValueError`` included, exits 3 as an internal error.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -400,6 +401,48 @@ def test_values_past_python_limits_exit_2(tmp_path):
         transcripts = write(tmp_path / "t.jsonl", f'{{"words": [{{"text": "a", "start": {start}, "end": 1}}]}}\n')
         code, err = run(["segment", "pause", transcripts, "-o", out])
         assert code == 2 and f"{transcripts}:1: " in err, err
+
+
+#: Each subcommand with its path operands as "{...}" fields, one name per operand.
+PATH_OPERANDS = {
+    "normalize": ["normalize", "{docs}", "-o", "{out}"],
+    "segment punct": ["segment", "punct", "{docs}", "-o", "{out}"],
+    "segment fixed": ["segment", "fixed", "{docs}", "-o", "{out}"],
+    "segment pause": ["segment", "pause", "{transcripts}", "-o", "{out}"],
+    "project": ["project", "{docs}", "{target}", "-o", "{out}"],
+    "variants": ["variants", "{docs}", "{system}", "-d", "{out}"],
+    "augment": ["augment", "{bitext}", "-o", "{out}"],
+    "mix": ["mix", "--corpus", "a={bitext}:{augmented}", "--weight", "a=1.0", "--total", "1",
+            "-o", "{out}"],
+    "score": ["score", "{docs}", "{reference}", "--json", "{out}"],
+    "wer": ["wer", "{docs}", "{hypothesis}", "--json", "{out}"],
+    "simulate": ["simulate", "{docs}", "--vocab", "{vocab}", "-o", "{out}"],
+    "report": ["report", "{docs}", "{reference}", "--json", "{out}"],
+}
+NUL_CASES = [
+    (name, operand)
+    for name, argv in PATH_OPERANDS.items()
+    for operand in re.findall(r"\{(\w+)\}", " ".join(argv)) + ["config"]
+]
+
+
+@pytest.mark.parametrize("name, operand", NUL_CASES, ids=[" ".join(case) for case in NUL_CASES])
+def test_a_nul_byte_in_a_path_exits_1_naming_the_argument(tmp_path, name, operand):
+    """No file name holds a NUL byte, so the parser refuses one before any file is touched."""
+    docs = write(tmp_path / "docs.txt", GOOD_DOCS)
+    paths = dict.fromkeys(["docs", "target", "system", "reference", "hypothesis", "vocab"], docs)
+    paths["bitext"] = paths["augmented"] = write(tmp_path / "bi.tsv", "a\tb\nc\td\n")
+    paths["transcripts"] = write(tmp_path / "t.jsonl", '{"words": [{"text": "a", "start": 0, "end": 1}]}\n')
+    paths["config"] = write(tmp_path / "config.yaml", "seed: 1\n")
+    paths["out"] = str(tmp_path / "out")
+    argv = PATH_OPERANDS[name] + ["--config", "{config}"]
+    files = sorted(tmp_path.iterdir())
+    code, err = run([arg.format(**dict(paths, **{operand: str(tmp_path / "a\0b")})) for arg in argv])
+    assert code == 1, err
+    assert "internal error" not in err
+    assert "error: argument " in err and "a path cannot hold a NUL byte" in err, err
+    assert sorted(tmp_path.iterdir()) == files
+    assert run([arg.format(**paths) for arg in argv]) == (0, "")  # the NUL byte was the fault
 
 
 #: Each setting that its dataclass range-checks: a bad config value, the
