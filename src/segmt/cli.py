@@ -49,7 +49,7 @@ from .formats import (
     write_documents,
     write_records,
 )
-from .noise import corrupt_boundaries, corrupt_tokens
+from .noise import corpus_corruption
 from .segment import break_on_punctuation, split_fixed_length, split_on_pauses
 from .text import (
     PUNCTUATED,
@@ -145,7 +145,9 @@ def _parse_bounds(text: str) -> Tuple[Tuple[int, int], ...]:
 
 
 def _file(text: str) -> str:
-    """A path operand, refused while parsing if it holds a NUL byte, as no file name can."""
+    """A path operand, refused while parsing if it is empty or holds a NUL byte, as no file name can."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path cannot be empty")
     if "\0" in text:
         raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte: {text!r}")
     return text
@@ -155,8 +157,8 @@ def _parse_corpus(text: str) -> Tuple[str, str, Optional[str]]:
     label, sep, paths = text.partition("=")
     if not sep or not label or not paths:
         raise argparse.ArgumentTypeError(f"expected LABEL=ORIGINALS[:AUGMENTED], got {text!r}")
-    original, _, augmented = _file(paths).partition(":")
-    return label, original, augmented or None
+    original, _, augmented = paths.partition(":")
+    return label, _file(original), _file(augmented) if augmented else None
 
 
 def _parse_weight(text: str) -> Tuple[str, float]:
@@ -335,7 +337,7 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
         source = read_documents(args.vocab) if args.vocab else docs
         vocabulary = tuple(sorted({tok for doc in source for tok in doc.tokens()}))
         noise = dataclasses.replace(noise, vocabulary=vocabulary)
-    corrupted = [corrupt_boundaries(corrupt_tokens(doc, noise), noise) for doc in docs]
+    corrupted = corpus_corruption(docs, noise)
     write_documents(_path(cfg, "output"), _drop_empty(corrupted, "corruption"))
     print(f"effective seed: {noise.seed}")
     return EXIT_OK

@@ -7,25 +7,29 @@ so that per-item randomness is independent of processing order.  String
 context is hashed with BLAKE2b, which is stable across platforms and runs,
 unlike Python's builtin ``hash``.
 
-``make_rng`` is the one definition of a stream.  Two users compute its
-outputs without ``numpy.random``, from ``_seeded``, which runs
-SeedSequence's pool mixing and PCG64's seeding for many contexts at once.
-``uniforms`` batches the common case of one uniform draw per integer
-index: the first output of each seeded state.  ``PCG64Outputs`` gives the
-``random_raw`` outputs of one stream, stepping PCG64 ahead in closed form:
-the state ``j`` steps on is ``M**j * s + (M**0 + ... + M**(j-1)) * inc``,
-taken from jump-ahead tables (Brown, "Random Number Generation with
-Arbitrary Strides", 1994).  PCG64's 128-bit arithmetic runs in pairs of
-uint64 arrays, with 32-bit limbs for the high word of a 64-bit product.
-Both rely on the stream stability numpy guarantees for SeedSequence and
-PCG64 (NEP 19); the ``tests/test_rng.py::test_uniforms_*`` and
-``test_pcg64_outputs_*`` tests check them against ``make_rng``.
+``make_rng`` is the one definition of a stream.  ``_seeded`` runs
+SeedSequence's pool mixing and PCG64's seeding for many streams at once,
+each from its own column of entropy values, and the batched paths start
+from it.  ``uniforms`` batches the common case of one uniform draw per
+integer index: the first output of each seeded state.  ``PCG64Outputs``
+gives the ``random_raw`` outputs of one stream without ``numpy.random``,
+stepping PCG64 ahead in closed form: the state ``j`` steps on is
+``M**j * s + (M**0 + ... + M**(j-1)) * inc``, taken from jump-ahead tables
+(Brown, "Random Number Generation with Arbitrary Strides", 1994).  PCG64's
+128-bit arithmetic runs in pairs of uint64 arrays, with 32-bit limbs for
+the high word of a 64-bit product.  ``bit_generators`` seeds a stream per
+context in one pass and serves them all from one numpy ``PCG64``, whose
+state it sets to each stream's in turn.  All of them rely on the stream
+stability numpy guarantees for SeedSequence and PCG64 (NEP 19); the
+``tests/test_rng.py::test_uniforms_*``, ``test_pcg64_outputs_*`` and
+``test_bit_generators_*`` tests check them against ``make_rng``.
 
 ``Stream(seed, *context)`` serves the scalar ``random()`` and ``integers(n)``
 draws of a fresh ``make_rng(seed, *context)`` generator from bulk
-``random_raw`` output, bit for bit, without one numpy call per draw.  It
-replays numpy's scalar ``integers`` algorithm (PCG64's buffered 32-bit
-halves and Lemire's rejection), which NEP 19 does not freeze;
+``random_raw`` output, bit for bit, without one numpy call per draw; its
+``raw()`` gives the outputs themselves.  It replays numpy's scalar
+``integers`` algorithm (PCG64's buffered 32-bit halves and Lemire's
+rejection), which NEP 19 does not freeze;
 ``tests/test_rng.py::test_stream_equals_generator_draws`` is the guard
 against a numpy release that changes it.  ``Stream.resume`` continues the
 draws of a reader that took outputs itself: ``augment.mixture_draws`` computes
@@ -39,8 +43,9 @@ module (and the CLI, for the subcommands that draw nothing) does not load it.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,30 +78,41 @@ def _entropy_value(value) -> int:
     raise TypeError(f"cannot derive entropy from {type(value).__name__}")
 
 
+def _entropy(seed: Optional[int], context) -> List[int]:
+    # What make_rng's SeedSequence takes: the seed's value, then each context value's.
+    return [_entropy_value(0 if seed is None else seed), *map(_entropy_value, context)]
+
+
 def make_rng(seed: Optional[int], *context) -> np.random.Generator:
     """A PCG64 generator for ``seed`` (None draws as 0) plus context (ints or strings)."""
     import numpy as np
 
-    entropy = [_entropy_value(0 if seed is None else seed)] + [_entropy_value(c) for c in context]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(seed, context))))
 
 
-# A Stream fetches _FIRST_BLOCK outputs when it is made, then blocks that
-# double up to _MAX_BLOCK.  A fetch costs about 1.3 us plus 0.03 us per output
-# (2 cores, numpy 2.4), so a short stream (a one-sentence document) reads few
-# outputs past its end, and a long one pays the per-call cost once per
-# _MAX_BLOCK outputs.
+# A Stream fetches _FIRST_BLOCK outputs first, then blocks that double up
+# to _MAX_BLOCK.  A fetch costs about 1.3 us plus 0.03 us per output (2 cores,
+# numpy 2.4), so a short stream (a one-sentence document) reads few outputs
+# past its end, and a long one pays the per-call cost once per _MAX_BLOCK
+# outputs.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
 
 
-def _later_blocks(bit_generator) -> Iterator[int]:
-    # Started only when the first block runs out: a short stream then never
-    # pays for closing a suspended generator when it is freed.
+def _block_sizes() -> Iterator[int]:
     block = _FIRST_BLOCK
     while True:
+        yield block
         block = min(2 * block, _MAX_BLOCK)
-        yield from bit_generator.random_raw(block).tolist()
+
+
+def _outputs(bit_generator) -> Iterator[int]:
+    # The outputs, each block fetched when the one before runs out.  The
+    # iterators that serve them one by one are numpy's and itertools', so no
+    # Python frame runs per output.
+    import numpy as np
+
+    return chain.from_iterable(map(np.ndarray.tolist, map(bit_generator.random_raw, _block_sizes())))
 
 
 class Stream:
@@ -104,41 +120,49 @@ class Stream:
 
     Each method returns, bit for bit, what the same call on a fresh
     generator would (``integers`` as a Python int), but reads PCG64 outputs
-    in blocks through ``bit_generator.random_raw``.
+    in blocks through ``bit_generator.random_raw``.  ``raw()`` is the next
+    output itself, as ``random_raw()`` gives it: ``random()`` is its top 53
+    bits, and neither touches the buffered 32-bit half.
     """
 
+    raw: Callable[[], int]
+
     def __init__(self, seed: Optional[int], *context):
-        bit_generator = make_rng(seed, *context).bit_generator
-        first = bit_generator.random_raw(_FIRST_BLOCK).tolist()
-        self._next64: Callable[[], int] = chain(first, _later_blocks(bit_generator)).__next__
-        # PCG64 serves 32-bit draws in pairs: the low half of a fresh output,
-        # then its high half, kept here until taken (None when empty).  A
-        # fresh generator holds no half.
-        self._half: Optional[int] = None
+        self._read(make_rng(seed, *context).bit_generator)
 
     @classmethod
-    def resume(cls, bit_generator, pending: List[int], half: Optional[int]) -> "Stream":
+    def resume(
+        cls, bit_generator, pending: Sequence[int] = (), half: Optional[int] = None
+    ) -> "Stream":
         """The draws that follow where a reader of ``bit_generator``'s outputs stopped.
 
         ``pending`` are the outputs it fetched but did not use, in order, and
         ``half`` the 32-bit half it holds (None if it holds none).  The stream
-        reads ``pending`` first, then the bit generator in blocks.
+        reads ``pending`` first, then the bit generator in blocks.  With
+        neither, it draws what a fresh generator in the bit generator's
+        state would.
         """
         stream = cls.__new__(cls)
-        stream._next64 = chain(pending, _later_blocks(bit_generator)).__next__
-        stream._half = half
+        stream._read(bit_generator, pending, half)
         return stream
+
+    def _read(self, bit_generator, pending: Sequence[int] = (), half: Optional[int] = None):
+        # PCG64 serves 32-bit draws in pairs: the low half of a fresh output,
+        # then its high half, kept in _half until taken (None when empty).
+        outputs = _outputs(bit_generator)
+        self.raw = (chain(pending, outputs) if pending else outputs).__next__
+        self._half = half
 
     def random(self) -> float:
         """``generator.random()``: the top 53 bits of one output, scaled to [0, 1)."""
-        return (self._next64() >> 11) * _DOUBLE_UNIT
+        return (self.raw() >> 11) * _DOUBLE_UNIT
 
     def _next32(self) -> int:
         half = self._half
         if half is not None:
             self._half = None
             return half
-        raw = self._next64()
+        raw = self.raw()
         self._half = raw >> 32
         return raw & _MASK32
 
@@ -171,9 +195,8 @@ def _hash_constants(init: int, mult: int, count: int) -> Tuple[List[int], List[i
     return constants[:-1], constants[1:]
 
 
-# mix_entropy hashes the four pool words in, then each source word three
-# times; generate_state hashes eight output words.
-_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+# generate_state hashes eight output words.  mix_entropy's constants depend
+# on the number of entropy words, so _seeded makes them.
 _STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
@@ -220,42 +243,51 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return xored >> rot | xored << ((64 - rot) & 63)
 
 
-def _seed_words(seed: Optional[int]) -> List[int]:
-    # SeedSequence's split of an entropy integer: little-endian 32-bit words,
-    # and one zero word for 0.
-    value = _entropy_value(0 if seed is None else seed)
-    return [value & _MASK32, value >> 32] if value >> 32 else [value]
-
-
 def _seeded(
-    seed: Optional[int], contexts: np.ndarray
+    entropy: np.ndarray, counts: Optional[np.ndarray] = None
 ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """PCG64's ``(state, inc)`` once seeded as ``make_rng(seed, c)`` is, for each ``c``.
+    """PCG64's ``(state, inc)`` once seeded as ``make_rng`` seeds it, for each column of ``entropy``.
 
-    ``contexts`` holds the 64-bit entropy values of the contexts (uint64);
-    each result is a (high, low) pair of uint64 arrays.  The seed's words and
-    the context's low and high words fill the 4-word pool.  A zero high word
-    mixes exactly like an absent one, because pool words beyond the entropy
-    are hashed as zeros, so every column has the same height.
+    ``entropy`` is a (values, streams) uint64 array: column ``r`` holds the
+    entropy values of stream ``r``, the seed's first, as ``_entropy_value``
+    gives them: ``counts[r]`` of them, then zeros (every row when ``counts``
+    is None).  Each result is a (high, low) pair of uint64 arrays.
+
+    SeedSequence splits each value into its low and high 32-bit words and
+    drops a zero high word, so the words of one column can sit at other
+    heights than those of the next.  Each column's words are packed up, with
+    zeros after them.  The first four fill the pool, where a missing word
+    hashes like a zero; every later word is mixed into each pool word, in
+    the columns that have it.
     """
     import numpy as np
 
-    seed_words = _seed_words(seed)
-    words = np.zeros((_POOL_SIZE, len(contexts)), dtype=np.uint32)
-    words[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    words[len(seed_words)] = contexts & _MASK32
-    words[len(seed_words) + 1] = contexts >> 32
+    height = 2 * len(entropy)
+    words = np.zeros((max(_POOL_SIZE, height) + 1, entropy.shape[1]), dtype=np.uint32)
+    words[0:height:2] = entropy & _MASK32
+    words[1:height:2] = entropy >> 32
+    for row in range(height - 1, 0, -2):  # each high word, the last first: a drop moves up the words below
+        words[row:-1] = np.where(words[row] == 0, words[row + 1 :], words[row:-1])
+    words = words[:-1]
+    heights = np.count_nonzero(entropy >> 32, axis=0) + (len(entropy) if counts is None else counts)
 
-    # SeedSequence.mix_entropy: hash each word in, then mix every pair.  A
-    # source word does not change in its own round, so its three hashes,
-    # one per destination, are one call.
-    xors = np.array(_POOL_XOR, dtype=np.uint32)[:, None]
-    mults = np.array(_POOL_MULT, dtype=np.uint32)[:, None]
-    pool = _hashmix(words, xors[:_POOL_SIZE], mults[:_POOL_SIZE])
+    # SeedSequence.mix_entropy: hash each pool word in, then mix every pair,
+    # then mix each later word into every pool word.  A source word does not
+    # change in its own round, so its hashes, one per destination, are one
+    # call.
+    xors, mults = (
+        np.array(constants, dtype=np.uint32)[:, None]
+        for constants in _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
+    )
+    pool = _hashmix(words[:_POOL_SIZE], xors[:_POOL_SIZE], mults[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
         dsts = [dst for dst in range(_POOL_SIZE) if dst != src]
         k = _POOL_SIZE + 3 * src
         pool[dsts] = _mix(pool[dsts], _hashmix(pool[src], xors[k : k + 3], mults[k : k + 3]))
+    for src in range(_POOL_SIZE, len(words)):
+        k = _POOL_SIZE * src
+        mixed = _mix(pool, _hashmix(words[src], xors[k : k + _POOL_SIZE], mults[k : k + _POOL_SIZE]))
+        pool = np.where(heights > src, mixed, pool)
 
     # SeedSequence.generate_state(4, uint64): eight 32-bit words hashed from
     # pool words 0..3, 0..3, read as little-endian 64-bit words s0..s3.
@@ -279,10 +311,12 @@ def uniforms(seed: Optional[int], indices: Iterable[int], high: float) -> List[f
     """
     import numpy as np
 
-    contexts = np.array([operator.index(i) & _MASK64 for i in indices], dtype=np.uint64)
-    if not len(contexts):
+    contexts = [operator.index(i) & _MASK64 for i in indices]
+    if not contexts:
         return []
-    state, inc = _seeded(seed, contexts)
+    entropy = np.empty((2, len(contexts)), dtype=np.uint64)
+    entropy[0], entropy[1] = _entropy(seed, ()), contexts
+    state, inc = _seeded(entropy)
     raw = _xsl_rr(*_add128(_mul128(state, _PCG_MULT), inc))
     return (high * ((raw >> 11) * _DOUBLE_UNIT)).tolist()
 
@@ -320,13 +354,17 @@ class PCG64Outputs:
     ``numpy.random``.  ``context`` is one int or string.  A block is the
     XSL-RR output of the states ``A_j * s + G_j * inc``, j = 1..count, from
     the jump-ahead tables; the state ``s`` is a Python int between calls.
+    A block no longer than the one before it steps that block's states on
+    by its length n instead, as ``A_n * S + G_n * inc``: one 128-bit array
+    product in place of two.
     """
 
     def __init__(self, seed: Optional[int], context):
         import numpy as np
 
-        state, inc = _seeded(seed, np.array([_entropy_value(context)], dtype=np.uint64))
+        state, inc = _seeded(np.array(_entropy(seed, (context,)), dtype=np.uint64)[:, None])
         self._state, self._inc = (int(high[0]) << 64 | int(low[0]) for high, low in (state, inc))
+        self._block: Optional[Tuple[np.ndarray, np.ndarray]] = None  # the last block's states
 
     def random_raw(self, count: int) -> np.ndarray:
         import numpy as np
@@ -334,8 +372,50 @@ class PCG64Outputs:
         blocks = []
         for start in range(0, count, _MAX_JUMP):
             size = min(count - start, _MAX_JUMP)
-            jumps = _jump_table(size)[:, :size]
-            high, low = _add128(_mul128(jumps[:2], self._state), _mul128(jumps[2:], self._inc))
+            if self._block is not None and size <= len(self._block[1]):
+                n = len(self._block[1])
+                a_high, a_low, g_high, g_low = _jump_table(n)[:, n - 1].tolist()
+                g_inc = (g_high << 64 | g_low) * self._inc
+                states = _add128(
+                    _mul128((self._block[0][:size], self._block[1][:size]), a_high << 64 | a_low),
+                    (g_inc >> 64 & _MASK64, g_inc & _MASK64),
+                )
+            else:
+                jumps = _jump_table(size)[:, :size]
+                states = _add128(_mul128(jumps[:2], self._state), _mul128(jumps[2:], self._inc))
+            high, low = self._block = states
             self._state = int(high[-1]) << 64 | int(low[-1])
             blocks.append(_xsl_rr(high, low))
         return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)
+
+
+def bit_generators(seed: Optional[int], contexts: Sequence[Sequence]) -> Iterator:
+    """One numpy ``PCG64``, set in turn to ``make_rng(seed, *context).bit_generator``'s state.
+
+    The streams of every context are seeded in one ``_seeded`` pass.  The
+    state is set, with no buffered half, as each is yielded, so a caller
+    takes all it draws from one stream before asking for the next.
+    """
+    import numpy as np
+
+    if not contexts:
+        return
+    value = lru_cache(maxsize=None, typed=True)(_entropy_value)  # names repeat across contexts
+    seed_value = _entropy(seed, ())
+    counts = list(map(len, contexts))
+    width = max(counts)
+    entropy = np.array(
+        [seed_value + list(map(value, context)) + [0] * (width - len(context)) for context in contexts],
+        dtype=np.uint64,
+    )
+    seeded = _seeded(entropy.T, 1 + np.array(counts))
+    (s_high, s_low), (i_high, i_low) = (map(np.ndarray.tolist, words) for words in seeded)
+    bit_generator = np.random.PCG64(0)
+    for s_h, s_l, i_h, i_l in zip(s_high, s_low, i_high, i_low):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_h << 64 | s_l, "inc": i_h << 64 | i_l},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield bit_generator

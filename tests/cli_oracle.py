@@ -1,23 +1,29 @@
-"""The ``wer`` and ``project`` subcommands rebuilt from the test oracles.
+"""The ``wer``, ``project`` and ``simulate`` subcommands rebuilt from the test oracles.
 
 Each function takes a command's file operands and returns what ``segmt``
 should give for them: the exit code, stdout, and the bytes of the file the
 command writes (None when it writes none).  They are built from a reader
 of the document format, the CLI's print and write formats, the
 character-at-a-time keys of ``text_oracle`` and the full-table DP of
-``dp_oracle``, which compares those keys under the identity policy.  So a
-differential test against them shares no reader, writer, key, aligner or
-cut with the package.
+``dp_oracle``, which compares those keys under the identity policy.
+``simulate`` draws from ``make_rng`` one call at a time: tokens through
+``draw_oracle``, boundaries one ``random()`` per gap.  So a differential
+test against them shares no reader, writer, key, aligner, cut or batched
+draw with the package.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import draw_oracle
 from dp_oracle import oracle_distance, oracle_positions
+from segmt.noise import NoiseConfig
+from segmt.rng import make_rng
 from segmt.text import NormalizationPolicy, SegmentedDocument
 from text_oracle import oracle_normalize_token
 
@@ -93,3 +99,38 @@ def project(source, target) -> Outcome:
         ends = sorted({k for k in positions if k >= 0} | {len(tokens) - 1})
         out.append([tokens[a + 1 : b + 1] for a, b in zip([-1, *ends], ends)])
     return 0, "", document_bytes(out)
+
+
+def simulate(documents, vocab, seed: int, rates: Dict[str, float]) -> Outcome:
+    """``segmt simulate DOCUMENTS -o PATH --seed SEED [--vocab VOCAB]`` with ``rates`` as flags.
+
+    ``rates`` maps ``NoiseConfig``'s rate fields to their values (0 when
+    absent); ``vocab`` is a document file or None, when the input's tokens
+    are the vocabulary.  Document ``i`` of the input is ``doc{i}``.  Tokens
+    go first, then each gap between two tokens draws one uniform: a
+    boundary stays unless it is at least the merge rate, any other gap
+    becomes one if it is below the split rate.  Documents left empty are
+    not written.
+    """
+    docs = read_documents(documents)
+    source = read_documents(vocab) if vocab is not None else docs
+    vocabulary = tuple(sorted({tok for doc in source for seg in doc for tok in seg}))
+    cfg = NoiseConfig(**rates, vocabulary=vocabulary, seed=seed)
+    out = []
+    for i, doc in enumerate(docs):
+        try:
+            corrupted = draw_oracle.corrupt_tokens(SegmentedDocument(doc, doc_id=f"doc{i}"), cfg)
+        except ValueError:  # substitution or insertion without a vocabulary
+            return 2, "", None
+        tokens = sum(corrupted.segments, [])
+        if not tokens:
+            continue
+        boundaries = set(accumulate(len(seg) for seg in corrupted.segments[:-1]))
+        rng = make_rng(seed, "boundaries", f"doc{i}")
+        ends = []
+        for gap in range(1, len(tokens)):  # the gap before token ``gap``
+            draw = rng.random()
+            if draw >= cfg.boundary_merge_rate if gap in boundaries else draw < cfg.boundary_split_rate:
+                ends.append(gap)
+        out.append([tokens[a:b] for a, b in zip([0, *ends], [*ends, len(tokens)])])
+    return 0, f"effective seed: {seed}\n", document_bytes(out)

@@ -1,4 +1,4 @@
-"""``segmt wer`` and ``segmt project`` end to end against ``cli_oracle``.
+"""``segmt wer``, ``project`` and ``simulate`` end to end against ``cli_oracle``.
 
 Each test writes the same generated document files for the CLI and the
 oracle, then compares the exit code, stdout and the bytes of the written
@@ -122,3 +122,62 @@ def test_a_corpus_of_band_and_lane_pairs_matches_the_oracle_cli(tmp_path, comman
     assert calls["band"] and calls["lanes"], calls
     assert produced == expected
     assert produced[0] == 0
+
+
+#: simulate's rate flags, by the ``NoiseConfig`` field each sets.
+RATE_FLAGS = {
+    "substitution_rate": "--substitution-rate",
+    "deletion_rate": "--deletion-rate",
+    "insertion_rate": "--insertion-rate",
+    "boundary_merge_rate": "--merge-rate",
+    "boundary_split_rate": "--split-rate",
+}
+RATE = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def simulate_cases(draw):
+    """Many documents of 1-3 tokens, now and then a longer one, with rates, a seed and a vocabulary."""
+    alphabet = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3, unique=True))
+    short = st.lists(st.lists(st.sampled_from(alphabet), min_size=1, max_size=2), min_size=1, max_size=2)
+    long = st.lists(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8), min_size=4, max_size=8)
+    docs = draw(st.lists(st.one_of(short, short, short, long), max_size=30))
+    text = "\n".join("".join(" ".join(seg) + "\n" for seg in doc) for doc in docs)
+    vocab = draw(st.one_of(st.none(), st.lists(st.sampled_from(TOKENS + ["x", "y"]), max_size=4)))
+    token_rates = draw(st.lists(RATE, min_size=3, max_size=3).filter(lambda rates: sum(rates) <= 1))
+    rates = dict(zip(RATE_FLAGS, token_rates + draw(st.lists(RATE, min_size=2, max_size=2))))
+    seed = draw(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**70)))
+    return text, vocab, rates, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=simulate_cases())
+@example(case=("a b\na\n\nb\n\na\n", None, dict.fromkeys(RATE_FLAGS, 0.0), 0))  # no draw changes a thing
+@example(case=("a\n\nb b\nb\n", ["x"], dict(dict.fromkeys(RATE_FLAGS, 0.0), deletion_rate=1.0), 2**32))
+@example(case=("a\n", [], dict(dict.fromkeys(RATE_FLAGS, 0.0), insertion_rate=0.5), 3))  # no vocabulary: exits 2
+@example(case=(  # the first document is emptied, and the gaps of those after it still draw their own
+    "a\n\nb a b\na b\n\nb\n\na b a\nb a b a\n", None,
+    dict(dict.fromkeys(RATE_FLAGS, 0.5), substitution_rate=0.0, insertion_rate=0.0), 1,
+))
+def test_simulate_matches_the_oracle_cli(tmp_path_factory, case):
+    text, vocab, rates, seed = case
+    base = tmp_path_factory.getbasetemp()
+    docs, out = base / "docs.txt", base / "out"
+    docs.write_bytes(text.encode("utf-8"))
+    out.unlink(missing_ok=True)
+    argv = ["simulate", str(docs), "-o", str(out), "--seed", str(seed)]
+    if vocab is not None:
+        (base / "vocab.txt").write_bytes(" ".join(vocab).encode("utf-8") + b"\n")
+        argv += ["--vocab", str(base / "vocab.txt")]
+    for field, rate in rates.items():
+        argv += [RATE_FLAGS[field], repr(rate)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    produced = (code, stdout.getvalue(), out.read_bytes() if out.exists() else None)
+    expected = cli_oracle.simulate(docs, base / "vocab.txt" if vocab is not None else None, seed, rates)
+    assert produced == expected
+    if code == 0:  # corruption that empties a document drops it, with a note
+        dropped = len(cli_oracle.read_documents(docs)) - len(cli_oracle.read_documents(out))
+        note = f"note: corruption left {dropped} document(s) empty; dropped\n"
+        assert stderr.getvalue() == (note if dropped else "")

@@ -445,6 +445,39 @@ def test_a_nul_byte_in_a_path_exits_1_naming_the_argument(tmp_path, name, operan
     assert run([arg.format(**paths) for arg in argv]) == (0, "")  # the NUL byte was the fault
 
 
+def path_operands(tmp_path):
+    """Good files for every operand of ``PATH_OPERANDS``, plus ``--config``."""
+    docs = write(tmp_path / "docs.txt", GOOD_DOCS)
+    paths = dict.fromkeys(["docs", "target", "system", "reference", "hypothesis", "vocab"], docs)
+    paths["bitext"] = paths["augmented"] = write(tmp_path / "bi.tsv", "a\tb\nc\td\n")
+    paths["transcripts"] = write(tmp_path / "t.jsonl", '{"words": [{"text": "a", "start": 0, "end": 1}]}\n')
+    paths["config"] = write(tmp_path / "config.yaml", "seed: 1\n")
+    paths["out"] = str(tmp_path / "out")
+    return paths
+
+
+#: Every operand but ``mix``'s augmented file: ``a=ORIGINALS:`` names none.
+EMPTY_CASES = [case for case in NUL_CASES if case != ("mix", "augmented")]
+
+
+@pytest.mark.parametrize("name, operand", EMPTY_CASES, ids=[" ".join(case) for case in EMPTY_CASES])
+def test_an_empty_path_exits_1_naming_the_argument(tmp_path, monkeypatch, name, operand):
+    """An empty path names no file, so the parser refuses it rather than fall back to another."""
+    work = tmp_path / "work"  # the working directory, where Path("") would point
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("SEGMT_CONFIG", "")  # empty means unset, so the good run below passes
+    paths = path_operands(tmp_path)
+    argv = PATH_OPERANDS[name] + ["--config", "{config}"]
+    files = sorted(tmp_path.rglob("*"))
+    code, err = run([arg.format(**dict(paths, **{operand: ""})) for arg in argv])
+    assert code == 1, err
+    assert "internal error" not in err
+    assert "error: argument " in err and "a path cannot be empty" in err, err
+    assert sorted(tmp_path.rglob("*")) == files
+    assert run([arg.format(**paths) for arg in argv]) == (0, "")  # the empty path was the fault
+
+
 #: Each setting that its dataclass range-checks: a bad config value, the
 #: command that reads it, and the flag that sets the same bad value (None
 #: where no flag can: a ``--vocab`` file is split into tokens).

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import segmt.noise
 from segmt.evaluate import make_error_variants
-from segmt.noise import NoiseConfig, _substitute, corrupt_boundaries, corrupt_tokens
+from segmt.noise import NoiseConfig, _raw_cut, _substitute, corpus_corruption, corrupt_boundaries, corrupt_tokens
 from segmt.rng import make_rng
 from segmt.text import SegmentedDocument, flatten, rebuild
 
@@ -186,6 +187,38 @@ def test_corrupt_boundaries_matches_scalar_draws(merge, split):
             tokens=int(rng.integers(1, 80)), seg_len=int(rng.integers(1, 9)), doc_id=f"d{trial}"
         )
         assert corrupt_boundaries(doc, cfg) == corrupt_boundaries_by_gap(doc, cfg)
+
+
+@pytest.mark.parametrize("rate", [0.0, 2**-53, 0.05, 0.1 + 0.2, 1 - 2**-53, 1.0])
+def test_raw_cut_agrees_with_random(rate):
+    # random() is an output's top 53 bits scaled by 2**-53; the cut compares
+    # the output itself, so outputs just below and at the cut decide it.
+    cut = _raw_cut(rate)
+    for raw in (cut - 2**11, cut - 1, cut, cut + 2**11 - 1):
+        if 0 <= raw < 2**64:
+            assert (raw < cut) == ((raw >> 11) * 2.0**-53 < rate), (rate, raw)
+
+
+def test_corpus_corruption_draws_every_stream_from_one_generator(monkeypatch):
+    # The first document's tokens draw 242 outputs, past the Stream's
+    # blocks of 16, 32, 64 and 128, before the second document's state is set.
+    cfg = NoiseConfig(
+        substitution_rate=0.3, deletion_rate=0.1, insertion_rate=0.5,
+        boundary_merge_rate=0.4, boundary_split_rate=0.2, vocabulary=("a", "b", "c"), seed=7,
+    )
+    docs = [make_doc(tokens=100, doc_id="long"), make_doc(tokens=3, seg_len=1, doc_id="short")]
+    shared = []
+
+    def spy(seed, contexts):
+        for bit_generator in bit_generators(seed, contexts):
+            shared.append(bit_generator)
+            yield bit_generator
+
+    bit_generators = segmt.noise.bit_generators
+    monkeypatch.setattr(segmt.noise, "bit_generators", spy)
+    expected = [corrupt_boundaries(draw_oracle.corrupt_tokens(doc, cfg), cfg) for doc in docs]
+    assert corpus_corruption(docs, cfg) == expected
+    assert len(shared) == 4 and all(bit_generator is shared[0] for bit_generator in shared)
 
 
 def test_single_token_document_unchanged():

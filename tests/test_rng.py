@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segmt import rng
-from segmt.rng import PCG64Outputs, Stream, make_rng, uniforms
+from segmt.rng import PCG64Outputs, Stream, bit_generators, make_rng, uniforms
 
 EDGE_SEEDS = [None, 0, 1, -1, -(2**40) - 3, 2**32 - 1, 2**32, 2**33 + 9, 2**64 - 1, np.int64(11)]
 EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -94,6 +94,65 @@ def test_pcg64_outputs_any_seed_context_and_calls(seed, context, calls):
     outputs = PCG64Outputs(seed, context)
     for count in calls:
         assert outputs.random_raw(count).tolist() == reference.random_raw(count).tolist()
+
+
+# Contexts of zero to three values.  2**40 has a zero low word, which
+# SeedSequence keeps; 5 and the seeds below 2**32 have a zero high word, which
+# it drops, so words of later values sit higher in some columns than others.
+BATCH_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+BATCH_CONTEXTS = [(), (5,), (2**40,), ("d",), ("tokens", "d"), (2**40, 2**40, 5)]
+
+
+def seeded_state(high_low):
+    (s_high, s_low), (i_high, i_low) = high_low
+    return [
+        {"state": s_h << 64 | s_l, "inc": i_h << 64 | i_l}
+        for s_h, s_l, i_h, i_l in zip(*(words.tolist() for words in (s_high, s_low, i_high, i_low)))
+    ]
+
+
+def test_seeded_columns_equal_make_rng_states():
+    # Every seed with every context, in one call.
+    cases = [(seed, context) for seed in BATCH_SEEDS for context in BATCH_CONTEXTS]
+    values = [rng._entropy(seed, context) for seed, context in cases]
+    entropy = np.array([v + [0] * (4 - len(v)) for v in values], dtype=np.uint64).T
+    got = seeded_state(rng._seeded(entropy, np.array([len(v) for v in values])))
+    assert got == [make_rng(seed, *context).bit_generator.state["state"] for seed, context in cases]
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS + [None])
+def test_bit_generators_equal_make_rng(seed):
+    # One bit generator in every stream's state in turn, with no buffered
+    # half; a stream's draws are taken before the next state is set.
+    contexts = BATCH_CONTEXTS * 2
+    drawn = [(gen.state, gen.random_raw(k).tolist()) for k, gen in enumerate(bit_generators(seed, contexts))]
+    expected = []
+    for k, context in enumerate(contexts):
+        reference = make_rng(seed, *context).bit_generator
+        expected.append((reference.state, reference.random_raw(k).tolist()))
+    assert drawn == expected
+    assert list(bit_generators(seed, [])) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.none(), st.integers(min_value=-(2**64), max_value=2**66)),
+    contexts=st.lists(
+        st.lists(
+            st.one_of(
+                st.text(max_size=4),
+                st.integers(min_value=0, max_value=2**32 - 1),  # a zero high word
+                st.integers(min_value=-(2**64), max_value=2**65),
+            ),
+            max_size=4,
+        ).map(tuple),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_bit_generators_any_seed_and_contexts(seed, contexts):
+    states = [gen.state["state"] for gen in bit_generators(seed, contexts)]
+    assert states == [make_rng(seed, *context).bit_generator.state["state"] for context in contexts]
 
 
 # integers(n) sizes: n == 1 draws nothing; 3 * 2**30 rejects about a quarter
