@@ -87,20 +87,17 @@ def _raw_cut(rate: float) -> int:
     return math.ceil(rate * 2**53) << 11
 
 
-def _check_vocabulary(cfg: NoiseConfig) -> None:
-    if (cfg.substitution_rate > 0 or cfg.insertion_rate > 0) and not cfg.vocabulary:
-        raise InputError("substitution/insertion need a non-empty vocabulary")
-
-
 def _token_pass(
     docs: Iterable[SegmentedDocument], cfg: NoiseConfig, streams: Iterable[Stream]
 ) -> List[SegmentedDocument]:
     # corrupt_tokens on each document, drawing from the matching stream.  Each
     # uniform is compared as the raw output it comes from; the deletion cut
-    # stays the float sum of the rates.
+    # stays the float sum of the rates.  A zero insertion cut draws nothing.
+    if (cfg.substitution_rate > 0 or cfg.insertion_rate > 0) and not cfg.vocabulary:
+        raise InputError("substitution/insertion need a non-empty vocabulary")
     sub_cut = _raw_cut(cfg.substitution_rate)
     del_cut = _raw_cut(cfg.substitution_rate + cfg.deletion_rate)
-    ins_cut = _raw_cut(cfg.insertion_rate) if cfg.insertion_rate > 0 else 0
+    ins_cut = _raw_cut(cfg.insertion_rate)
     vocabulary = cfg.vocabulary
     corrupted = []
     for doc, rng in zip(docs, streams):
@@ -167,9 +164,8 @@ def corpus_corruption(docs: Sequence[SegmentedDocument], cfg: NoiseConfig) -> Li
     ``(seed, "boundaries", doc_id)``, are seeded in one pass and drawn from
     one PCG64, one stream after the other.
     """
-    if not docs:
+    if not docs:  # draws nothing, so it needs no vocabulary
         return []
-    _check_vocabulary(cfg)
     ids = [doc.doc_id for doc in docs]
     generators = bit_generators(cfg.seed, [("tokens", i) for i in ids] + [("boundaries", i) for i in ids])
     corrupted = _token_pass(docs, cfg, map(Stream.resume, generators))
@@ -182,7 +178,6 @@ def corrupt_tokens(doc: SegmentedDocument, cfg: NoiseConfig) -> SegmentedDocumen
     Boundaries re-anchor to the surviving tokens: segments keep their
     identity, and segments whose tokens all disappear are dropped.
     """
-    _check_vocabulary(cfg)
     return _token_pass([doc], cfg, [Stream(cfg.seed, "tokens", doc.doc_id)])[0]
 
 
